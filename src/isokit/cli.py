@@ -37,11 +37,7 @@ from .minimize import (
     t_star,
     triangle_at_crossing,
 )
-from .oracle import (
-    DEFAULT_COARSE_STEP,
-    DEFAULT_REFINE_ITERS,
-    verify_triangle,
-)
+from .oracle import verify_triangle
 from .sampling import (
     DEFAULT_MIN_ANGLE,
     DEFAULT_SCALENE_MARGIN,
@@ -278,8 +274,6 @@ class RunConfig:
 
     seed: int
     samples: int
-    step: float
-    refine_iters: int
     min_angle: float
     scalene_margin: float
     gap_tol: float
@@ -301,9 +295,7 @@ def run_verification(config: RunConfig) -> tuple[dict, bool]:
         tol=config.tolerances,
     )
     reports = [
-        verify_triangle(
-            ct, config.step, config.refine_iters, config.tolerances, config.eps_geom
-        )
+        verify_triangle(ct, config.tolerances, config.eps_geom)
         for ct in triangles
     ]
     max_gap = max(r.relative_gap for r in reports)
@@ -324,8 +316,6 @@ def run_verification(config: RunConfig) -> tuple[dict, bool]:
         "units": "radians",
         "seed": config.seed,
         "samples": config.samples,
-        "step_deg": math.degrees(config.step),
-        "refine_iters": config.refine_iters,
         "max_relative_gap": max_gap,
         "min_relative_gap": min_gap,
         "max_min_ratio": max_min_ratio,
@@ -340,8 +330,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(
         seed=args.seed,
         samples=args.samples,
-        step=math.radians(args.step),
-        refine_iters=args.refine,
         min_angle=math.radians(args.min_angle),
         scalene_margin=math.radians(args.scalene_margin),
         gap_tol=args.gap_tol,
@@ -349,10 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tolerances=args.tolerances,
     )
     doc, ok = run_verification(config)
-    print(
-        f"verify: samples={config.samples} seed={config.seed} "
-        f"step={_fmt(math.degrees(config.step))}deg refine={config.refine_iters}"
-    )
+    print(f"verify: samples={config.samples} seed={config.seed}")
     print(f"max relative gap = {_fmt(doc['max_relative_gap'])} (tolerance {_fmt(config.gap_tol)})")
     print(f"min relative gap = {_fmt(doc['min_relative_gap'])}")
     rates = doc["invariant_pass_rates"]
@@ -509,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="batch-check the closed form against the brute-force oracle")
     p.add_argument("--samples", type=int, default=100, help="number of random triangles (default 100)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $ISOKIT_SEED or 0)")
-    p.add_argument("--step", type=float, default=math.degrees(DEFAULT_COARSE_STEP), help="coarse grid step in degrees (default 0.5)")
-    p.add_argument("--refine", type=int, default=DEFAULT_REFINE_ITERS, help="refinement iterations (default 8)")
     p.add_argument("--min-angle", type=float, default=math.degrees(DEFAULT_MIN_ANGLE), help="sampling: minimum angle in degrees (default 5)")
     p.add_argument("--scalene-margin", type=float, default=math.degrees(DEFAULT_SCALENE_MARGIN), help="sampling: pairwise angle margin in degrees (default 1)")
     p.add_argument("--gap-tol", type=float, default=1e-3, help="max allowed relative gap (default 1e-3)")

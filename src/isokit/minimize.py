@@ -122,10 +122,9 @@ def alpha_star_equation(alpha: float) -> float:
 _ALPHA_BRACKET = (math.radians(36.0), math.radians(45.0))
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Sign-change bisection, run past `tol` down to machine resolution so
-    the returned root's residual is rounding-limited rather than
-    tolerance-limited."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Sign-change bisection down to adjacent floats, so the returned root's
+    residual is rounding-limited."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -144,19 +143,21 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-    assert hi - lo <= tol
     return 0.5 * (lo + hi)
 
 
 def alpha_star(tol: float = 1e-12) -> float:
     """The unique root of `alpha_star_equation` in [36, 45] degrees, radians.
 
-    Bisection on the fixed bracket; the result's interval width is at most
-    `tol` (in practice machine resolution, so the residual is ~1e-16).
+    Bisection on the fixed bracket down to adjacent floats, so the result's
+    interval width is at most `tol` and the residual is ~1e-16.  A `tol`
+    below the float spacing at the bracket's top cannot be met and is
+    rejected.
     """
-    if not 0.0 < tol < 1e-3:
-        raise ValueError(f"tol must be in (0, 1e-3), got {tol}")
-    return _bisect(alpha_star_equation, *_ALPHA_BRACKET, tol=tol)
+    spacing = math.ulp(_ALPHA_BRACKET[1])
+    if not spacing <= tol < 1e-3:
+        raise ValueError(f"tol must be in [{spacing}, 1e-3), got {tol}")
+    return _bisect(alpha_star_equation, *_ALPHA_BRACKET)
 
 
 def t_star(tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalTriangle:
@@ -243,7 +244,7 @@ def ratio_curves(
         p = _curve_point(alpha, beta)
         return p.ratio_f - p.ratio_g
 
-    z = _bisect(diff, lo, hi, tol=1e-15 * beta)
+    z = _bisect(diff, lo, hi)
     return points, z
 
 

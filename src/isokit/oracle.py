@@ -7,7 +7,8 @@ The key reduction: a minimal container touches the inner triangle on every
 side, so for a fixed isosceles shape (apex angle) and orientation (axis
 direction) the best container is the triangle bounded by the three
 supporting lines of the input at the shape's outward side normals.  That
-removes translation and scale analytically and leaves a 2D search.
+removes translation and scale analytically and leaves a 2D search, which
+`brute_force_min_isosceles` solves exactly.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ __all__ = [
     "brute_force_min_isosceles",
     "can_cover",
     "verify_triangle",
-    "DEFAULT_COARSE_STEP",
-    "DEFAULT_REFINE_ITERS",
 ]
-
-DEFAULT_COARSE_STEP = math.radians(0.5)
-DEFAULT_REFINE_ITERS = 8
 
 _APEX_MARGIN = 1e-9  # radians; apex angles this close to 0 or pi are invalid
 _TWO_PI = 2.0 * math.pi
@@ -74,8 +70,6 @@ class OracleResult:
     min_area: float
     witness: Triangle
     params: ShapeParams
-    grid_resolution: float
-    refined: bool
 
 
 @dataclass(frozen=True)
@@ -101,6 +95,40 @@ def _check_nondegenerate(t: Triangle, tol: Tolerances) -> None:
         raise DegenerateTriangle("oracle operations need a non-degenerate triangle")
 
 
+def _centred(t: Triangle) -> tuple[float, float, np.ndarray]:
+    """Centroid of `t` and its vertices relative to it as a (3, 2) array.
+
+    A container's height and vertices come from sums and differences of
+    support values, which lose the digits of a large offset; about the
+    centroid they keep full precision relative to the triangle's size.
+    """
+    cx = sum(v.x for v in t.vertices) / 3.0
+    cy = sum(v.y for v in t.vertices) / 3.0
+    return cx, cy, np.array([[v.x - cx, v.y - cy] for v in t.vertices])
+
+
+def _side_supports(p: np.ndarray, delta, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support values (h1, h2, hb) of the points `p` (shape (k, 2)) at the
+    outward normals of the two legs and the base of the isosceles shape with
+    apex angle `delta` and axis direction `psi`; broadcasts over `delta` and
+    `psi`.
+
+    The leg normals point along psi -/+ (pi/2 - delta/2), the base normal
+    along psi + pi.
+    """
+    sh, ch = np.sin(0.5 * delta), np.cos(0.5 * delta)
+    ux, uy = np.cos(psi), np.sin(psi)
+
+    def support(nx, ny):
+        return np.max(np.multiply.outer(nx, p[:, 0]) + np.multiply.outer(ny, p[:, 1]), axis=-1)
+
+    return (
+        support(sh * ux + ch * uy, sh * uy - ch * ux),
+        support(sh * ux - ch * uy, sh * uy + ch * ux),
+        support(-ux, -uy),
+    )
+
+
 def min_triangle_for_shape(
     t: Triangle, sp: ShapeParams, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Triangle:
@@ -113,17 +141,11 @@ def min_triangle_for_shape(
     sh, ch = math.sin(half), math.cos(half)
     if sh <= 0.0 or ch <= 0.0:
         raise UnboundedShape(f"apex angle {sp.apex_angle} does not bound a triangle")
+    cx, cy, p = _centred(t)
+    h1, h2, hb = (float(h) for h in _side_supports(p, sp.apex_angle, sp.rotation))
     psi = sp.rotation
     ux, uy = math.cos(psi), math.sin(psi)  # axis: base midpoint -> apex
     px, py = -uy, ux
-
-    def support(nx: float, ny: float) -> float:
-        return max(v.x * nx + v.y * ny for v in t.vertices)
-
-    # leg normals at psi +/- (pi/2 - half); base normal is -axis
-    h1 = support(ux * sh - px * ch, uy * sh - py * ch)
-    h2 = support(ux * sh + px * ch, uy * sh + py * ch)
-    hb = support(-ux, -uy)
 
     xi_apex = (h1 + h2) / (2.0 * sh)
     eta_apex = (h2 - h1) / (2.0 * ch)
@@ -132,157 +154,116 @@ def min_triangle_for_shape(
     eta_2 = (h2 + hb * sh) / ch
 
     def to_point(xi: float, eta: float) -> Point:
-        return Point(xi * ux + eta * px, xi * uy + eta * py)
+        return Point(cx + xi * ux + eta * px, cy + xi * uy + eta * py)
 
     return Triangle(to_point(xi_apex, eta_apex), to_point(xi_base, eta_1), to_point(xi_base, eta_2))
 
 
-def _support_area_grid(
-    vx: np.ndarray, vy: np.ndarray, deltas: np.ndarray, psis: np.ndarray
-) -> np.ndarray:
-    """Areas of the supporting-line containers on the (apex, rotation) grid.
+def _shape_frame(t: Triangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A centred copy of `t` scaled to unit size, its interior angles, and
+    the direction angles of the outward normals of its sides."""
+    p = _centred(t)[2]
+    p /= np.abs(p).max()
+    ahead = np.roll(p, -1, axis=0) - p
+    behind = np.roll(p, 1, axis=0) - p
+    cross = ahead[:, 0] * behind[:, 1] - ahead[:, 1] * behind[:, 0]
+    # atan2 of (|cross|, dot) keeps needle angles accurate
+    angles = np.arctan2(np.abs(cross), np.sum(ahead * behind, axis=1))
+    # side k runs from vertex k to k + 1; its outward normal is a quarter
+    # turn clockwise from it when the vertices wind counter-clockwise
+    normals = np.arctan2(ahead[:, 1], ahead[:, 0]) - math.copysign(0.5 * math.pi, cross[0])
+    return p, angles, normals
 
-    Uses area = tan(delta/2) * H^2 with H the apex-to-base height assembled
-    from three support values; everything broadcasts as (len(deltas),
-    len(psis)).
+
+def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
+    """Every apex angle at which a flush container's area, as a function of
+    the apex angle, can have a local minimum, for a triangle with interior
+    angles `angles`.
+
+    With one container side on the line of an input side PQ, the other two
+    sides each pass through P, Q or the third vertex R.  Which one changes
+    only where the container's angle at P or Q equals the input's there,
+    that is at an apex angle A or pi - 2A for an input angle A: the kinks.
+    Between kinks the area is smooth.  With the base flush it is monotone in
+    t = tan(delta/2), or convex with its least value on a kink.  With a leg
+    flush, and k = cot A for the input angle A at P:
+      - apex on P, base through R: area ~ (k + t)^2 t / (1 + t^2), stationary
+        where t^3 - k t^2 + 3t + k = 0;
+      - base vertex on P, other leg through R: stationary where
+        t^4 + 2k t^3 + 6t^2 - 2k t + 1 = 0 (sin(2 delta + A) = 3 sin A);
+      - both free sides through R: area ~ 1/sin(delta), least at pi/2;
+      - free sides through P and Q: area ~ sin(delta), least on a kink.
+    Extra candidates are harmless (each is a valid container), so every
+    root's real part is kept.
     """
+    k = 1.0 / np.tan(angles)
+    zero, one = np.zeros_like(k), np.ones_like(k)
+    # monic quartics t^4 + c3 t^3 + c2 t^2 + c1 t + c0 (the cubic times t)
+    coeffs = np.concatenate(
+        [np.stack([-k, 3.0 * one, k, zero], axis=1), np.stack([2.0 * k, 6.0 * one, -2.0 * k, one], axis=1)]
+    )
+    companion = np.zeros((len(coeffs), 4, 4))
+    companion[:, 0, :] = -coeffs
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+    roots = np.linalg.eigvals(companion).real.ravel()
+    deltas = np.concatenate(
+        [angles, math.pi - 2.0 * angles, [0.5 * math.pi], 2.0 * np.arctan(roots[roots > 0.0])]
+    )
+    # out-of-range angles move to valid ones (ShapeParams excludes the margin)
+    return np.clip(deltas, 2.0 * _APEX_MARGIN, math.pi - 2.0 * _APEX_MARGIN)
+
+
+def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nine rotations per apex angle at which the base, the first leg or
+    the second leg is flush with an input side of outward normal angle in
+    `normals`; returns apex angles and rotations, both (len(deltas), 9)."""
     half = 0.5 * deltas[:, None]
-    sh, ch = np.sin(half), np.cos(half)
-    cp, sp = np.cos(psis)[None, :], np.sin(psis)[None, :]
-    o1 = sh * cp
-    o2 = ch * sp
-    o3 = sh * sp
-    o4 = ch * cp
-    c1 = o1 - o2  # cos of leg normal at psi + (pi/2 - half)
-    s1 = o3 + o4
-    c2 = o1 + o2  # cos of leg normal at psi - (pi/2 - half)
-    s2 = o3 - o4
-    h1 = np.maximum(
-        np.maximum(vx[0] * c1 + vy[0] * s1, vx[1] * c1 + vy[1] * s1),
-        vx[2] * c1 + vy[2] * s1,
+    nu = normals[None, :]
+    psis = np.concatenate(
+        np.broadcast_arrays(nu + math.pi, nu + 0.5 * math.pi - half, nu - 0.5 * math.pi + half), axis=1
     )
-    h2 = np.maximum(
-        np.maximum(vx[0] * c2 + vy[0] * s2, vx[1] * c2 + vy[1] * s2),
-        vx[2] * c2 + vy[2] * s2,
-    )
-    hb = np.maximum(
-        np.maximum(-(vx[0] * cp + vy[0] * sp), -(vx[1] * cp + vy[1] * sp)),
-        -(vx[2] * cp + vy[2] * sp),
-    )
-    height = (h1 + h2) / (2.0 * sh) + hb
-    return np.tan(half) * height * height
+    return np.broadcast_to(deltas[:, None], psis.shape), psis
 
 
-_MAX_REFINE_SEEDS = 16
-_SEED_VALUE_CUTOFF = 1.25  # keep basins whose coarse floor is within 25% of the best
-_MAX_WALKS_PER_LEVEL = 16
-
-
-def _coarse_local_minima(areas: np.ndarray) -> list[tuple[int, int]]:
-    """Nodes not exceeded by any of their 8 grid neighbors; rotation wraps,
-    apex edges are padded.  Sorted by (value, apex index, rotation index) so
-    downstream choices stay deterministic.
-
-    A steep crease basin's coarse floor overestimates its true minimum by at
-    most a few percent at the allowed step sizes, so basins more than 25%
-    above the best coarse floor can never hold the global optimum and are
-    dropped.
-    """
-    n_delta, _ = areas.shape
-    padded = np.pad(areas, ((1, 1), (0, 0)), constant_values=np.inf)
-    is_min = np.ones(areas.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = np.roll(padded[1 + di : 1 + di + n_delta, :], -dj, axis=1)
-            is_min &= areas <= neighbor
-    ks, ms = np.nonzero(is_min)
-    order = sorted(range(len(ks)), key=lambda i: (areas[ks[i], ms[i]], ks[i], ms[i]))
-    floor = areas[ks[order[0]], ms[order[0]]]
-    kept = [i for i in order if areas[ks[i], ms[i]] <= floor * _SEED_VALUE_CUTOFF]
-    return [(int(ks[i]), int(ms[i])) for i in kept[:_MAX_REFINE_SEEDS]]
+def _container_areas(p: np.ndarray, delta, psi) -> np.ndarray:
+    """Areas of the supporting-line containers of the points `p` for the
+    shapes (delta, psi): tan(delta/2) * H^2 with H the apex-to-base height."""
+    h1, h2, hb = _side_supports(p, delta, psi)
+    height = (h1 + h2) / (2.0 * np.sin(0.5 * delta)) + hb
+    return np.tan(0.5 * delta) * height * height
 
 
 def brute_force_min_isosceles(
-    t: Triangle,
-    coarse_step: float = DEFAULT_COARSE_STEP,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> OracleResult:
-    """Grid the shape space at `coarse_step`, then shrink a local grid by a
-    factor of 4 per iteration around each coarse local minimum.
+    """Minimum-area isosceles triangle containing `t`, by an exact search
+    over (apex angle, axis direction) that does not use the closed-form
+    candidate analysis.
 
-    Refining every coarse basin (not just the best node) matters: optima of
-    the crease type can sit in valleys so steep that their nearest coarse
-    nodes evaluate above a flatter competing basin's floor.
+    Fixed apex angle: between consecutive rotations at which a side normal
+    crosses an outward normal of `t` (nine per apex angle), the supporting
+    vertices are fixed and the container height is a sinusoid in the
+    rotation with no constant term.  It is positive and equal to minus its
+    second derivative, so it is concave there and its minimum over rotations
+    sits at one of the nine crossings, where a container side is flush with
+    a side of `t`.
 
-    Deterministic for fixed inputs: grid nodes are fixed and ties break
-    lexicographically in (apex, rotation).
+    Apex angle: the flush containers' areas are smooth between closed-form
+    kinks, with closed-form or polynomial stationary points (see
+    `_candidate_apex_angles`).  The minimum is at one of those apex angles,
+    each evaluated at all nine flush rotations.
+
+    The search runs on a centred, unit-size copy of `t`; the witness is
+    built on `t` itself.  Deterministic: ties go to the first candidate.
     """
     _check_nondegenerate(t, tol)
-    if not 0.0 < coarse_step <= math.radians(2.0) + 1e-15:
-        raise ValueError(f"coarse_step must be in (0, 2deg], got {coarse_step} rad")
-    if refine_iters < 0:
-        raise ValueError("refine_iters must be >= 0")
+    p, angles, normals = _shape_frame(t)
+    deltas, psis = _flush_rotations(normals, _candidate_apex_angles(angles))
+    best = int(np.argmin(_container_areas(p, deltas, psis)))
 
-    vx = np.array([v.x for v in t.vertices])
-    vy = np.array([v.y for v in t.vertices])
-
-    n_delta = int(round(math.pi / coarse_step)) - 1
-    n_psi = int(round(_TWO_PI / coarse_step))
-    deltas = coarse_step * np.arange(1, n_delta + 1)
-    psis = coarse_step * np.arange(n_psi)
-    # the coarse pass only selects basins, so single precision is plenty;
-    # refinement re-evaluates everything in double
-    areas = _support_area_grid(
-        vx.astype(np.float32),
-        vy.astype(np.float32),
-        deltas.astype(np.float32),
-        psis.astype(np.float32),
-    )
-    seeds = _coarse_local_minima(areas)
-
-    best_area = math.inf
-    best_delta = best_psi = 0.0
-    resolution = coarse_step
-    for k, m in seeds:
-        d0, p0 = float(deltas[k]), float(psis[m])
-        a0 = float(_support_area_grid(vx, vy, np.array([d0]), np.array([p0]))[0, 0])
-        half_width = coarse_step
-        for _ in range(refine_iters):
-            # walk the box at this width until the optimum is interior;
-            # shrinking while the argmin still sits on the box edge strands
-            # the search short of crease minima (the travel budget of pure
-            # factor-4 shrinking is only 4/3 of the starting width)
-            for _walk in range(_MAX_WALKS_PER_LEVEL):
-                dd = np.clip(
-                    np.linspace(d0 - half_width, d0 + half_width, 9),
-                    _APEX_MARGIN,
-                    math.pi - _APEX_MARGIN,
-                )
-                pp = np.linspace(p0 - half_width, p0 + half_width, 9)
-                local = _support_area_grid(vx, vy, dd, pp)
-                i, j = np.unravel_index(np.argmin(local), local.shape)
-                if not float(local[i, j]) < a0:
-                    break
-                d0, p0, a0 = float(dd[i]), float(pp[j]), float(local[i, j])
-                if 0 < i < 8 and 0 < j < 8:
-                    break
-            resolution = half_width / 4.0
-            half_width /= 4.0
-        if a0 < best_area:
-            best_area, best_delta, best_psi = a0, d0, p0
-
-    params = ShapeParams(apex_angle=best_delta, rotation=best_psi)
+    params = ShapeParams(apex_angle=float(deltas.flat[best]), rotation=float(psis.flat[best]))
     witness = min_triangle_for_shape(t, params, tol)
-    return OracleResult(
-        min_area=area(witness),
-        witness=witness,
-        params=params,
-        grid_resolution=resolution,
-        refined=refine_iters > 0,
-    )
+    return OracleResult(min_area=area(witness), witness=witness, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +455,6 @@ def _witness_flags(
 
 def verify_triangle(
     ct: CanonicalTriangle,
-    coarse_step: float = DEFAULT_COARSE_STEP,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
     tol: Tolerances = DEFAULT_TOLERANCES,
     eps_geom: float = 1e-5,
 ) -> VerificationReport:
@@ -484,7 +463,7 @@ def verify_triangle(
     if ct.shape_class is not ShapeClass.SCALENE:
         raise NotScalene("verification runs on scalene triangles only")
     closed = minimum_isosceles_container(ct, tol)
-    oracle = brute_force_min_isosceles(ct.tri, coarse_step, refine_iters, tol)
+    oracle = brute_force_min_isosceles(ct.tri, tol)
     gap = (oracle.min_area - closed.min_area) / closed.min_area
     flags = _witness_flags(ct, oracle.witness, eps_geom)
     boundary_ok = (

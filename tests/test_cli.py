@@ -174,9 +174,11 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_bad_root_tol_exits_2(self, capsys):
-        code, _, err = run(capsys, "extremal", "alpha_star", "--root-tol", "1")
-        assert code == 2
-        assert "tol" in err
+        # 1e-300 is below the float spacing of the bisection bracket
+        for root_tol in ("1", "1e-300"):
+            code, _, err = run(capsys, "extremal", "alpha_star", "--root-tol", root_tol)
+            assert code == 2
+            assert "tol" in err
 
 
 class TestExtremal:

@@ -131,11 +131,13 @@ class TestAlphaStar:
         with pytest.raises(ValueError):
             alpha_star(0.0)
         with pytest.raises(ValueError):
+            alpha_star(1e-300)  # below the float spacing at the bracket
+        with pytest.raises(ValueError):
             alpha_star(1e-2)
 
     def test_bracket_failure_guard(self):
         with pytest.raises(BracketFailure):
-            _bisect(lambda x: 1.0 + x * x, 0.0, 1.0, tol=1e-6)
+            _bisect(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
 class TestTStar:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isokit import (
+    DegenerateTriangle,
     NotScalene,
     Point,
     ShapeParams,
@@ -21,8 +22,15 @@ from isokit import (
     minimum_isosceles_container,
     sample_canonical_triangles,
     t_star,
+    triangle_from_angles,
     triangle_from_sides,
     verify_triangle,
+)
+from isokit.oracle import (
+    _candidate_apex_angles,
+    _container_areas,
+    _flush_rotations,
+    _shape_frame,
 )
 
 
@@ -131,18 +139,48 @@ class TestBruteForce:
         apex, b0, b1 = res.witness.vertices
         assert dist(apex, b0) == pytest.approx(dist(apex, b1), rel=1e-9)
 
-    def test_step_validation(self, t345):
-        with pytest.raises(ValueError):
-            brute_force_min_isosceles(t345.tri, coarse_step=math.radians(3.0))
-        with pytest.raises(ValueError):
-            brute_force_min_isosceles(t345.tri, coarse_step=0.0)
+    def test_input_validation(self, t345):
+        # the search has no tuning parameters left to validate
+        with pytest.raises(TypeError):
+            brute_force_min_isosceles(t345.tri, coarse_step=math.radians(0.5))
+        with pytest.raises(TypeError):
+            brute_force_min_isosceles(t345.tri, refine_iters=8)
+        with pytest.raises(DegenerateTriangle):
+            brute_force_min_isosceles(Triangle(Point(0, 0), Point(1, 1), Point(2, 2)))
 
-    def test_no_refinement(self, t345):
-        res = brute_force_min_isosceles(t345.tri, refine_iters=0)
-        assert not res.refined
+    def test_345_exact(self, t345):
+        # no refinement stage: the optimum itself is among the candidates
+        res = brute_force_min_isosceles(t345.tri)
         assert contains_triangle(res.witness, t345.tri)
-        # coarse-only answer is still within the grid's reach of the optimum
-        assert res.min_area == pytest.approx(7.5, rel=0.05)
+        assert res.min_area == pytest.approx(7.5, rel=1e-12)
+        # ABC' has its apex on A and shares the angle there
+        assert res.params.apex_angle == pytest.approx(t345.alpha, rel=1e-12)
+
+    def test_flush_candidates_are_complete(self):
+        # the two claims the search rests on, checked by dense sampling:
+        # (1) at a fixed apex angle no rotation beats the nine flush ones;
+        # (2) every local minimum over the apex angle of each flush family
+        #     sits at a candidate apex angle
+        rng = np.random.default_rng(11)
+        grid = np.linspace(1e-3, math.pi - 1e-3, 4001)
+        step = grid[1] - grid[0]
+        for _ in range(30):
+            u, v = sorted(rng.uniform(0.01, 0.99, size=2))
+            p, angles, normals = _shape_frame(
+                triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
+            )
+            candidates = _candidate_apex_angles(angles)
+            flush = _container_areas(p, *_flush_rotations(normals, grid))
+
+            for i in (500, 2000, 3500):
+                rot = np.linspace(0.0, 2.0 * math.pi, 20001)
+                dense = _container_areas(p, grid[i], rot).min()
+                assert flush[i].min() <= dense * (1.0 + 1e-12)
+
+            for f in flush.T:
+                local = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
+                for i in local:
+                    assert np.min(np.abs(candidates - grid[i])) <= 2.0 * step
 
     def test_deterministic(self, t345):
         r1 = brute_force_min_isosceles(t345.tri)
@@ -156,7 +194,7 @@ class TestBruteForce:
             closed = minimum_isosceles_container(ct)
             res = brute_force_min_isosceles(ct.tri)
             gap = (res.min_area - closed.min_area) / closed.min_area
-            assert -1e-9 <= gap <= 1e-3
+            assert abs(gap) <= 1e-9
 
 
 class TestCanCover:
@@ -259,6 +297,6 @@ class TestVerifyTriangle:
     def test_batch(self):
         for ct in sample_canonical_triangles(seed=29, count=25):
             rep = verify_triangle(ct)
-            assert -1e-9 <= rep.relative_gap <= 1e-3
+            assert abs(rep.relative_gap) <= 1e-9
             assert rep.boundary_invariants_ok
             assert rep.shares_side_and_angle
