@@ -130,9 +130,7 @@ def _make(variant: ContainerVariant, kind: Kind, tri: Triangle, ref_area: float)
     return SpecialContainer(variant=variant, kind=kind, tri=tri, area=ar, ratio=ar / ref_area)
 
 
-def first_kind(
-    ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[SpecialContainer]:
+def first_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three first-kind containers; area ratios are b/a, c/b, c/a."""
     _require_scalene(ct)
     A, B, C = ct.tri.vertices
@@ -157,9 +155,7 @@ def _reflect_across_foot(apex: Point, base0: Point, base1: Point) -> Point:
     return Point(base0.x + 2.0 * t * ex, base0.y + 2.0 * t * ey)
 
 
-def second_kind(
-    ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[SpecialContainer]:
+def second_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three second-kind containers; AB1C has ratio 2*b*cos(alpha)/c."""
     _require_scalene(ct)
     A, B, C = ct.tri.vertices
@@ -218,4 +214,4 @@ def all_special_containers(
     ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[SpecialContainer]:
     """All special containers: nine for acute input, seven otherwise."""
-    return first_kind(ct, tol) + second_kind(ct, tol) + third_kind(ct, tol)
+    return first_kind(ct) + second_kind(ct) + third_kind(ct, tol)

@@ -100,8 +100,8 @@ def minimum_isosceles_container(
             count=1,
             candidates=(),
         )
-    fk = first_kind(ct, tol)
-    ab1c = second_kind(ct, tol)[0]
+    fk = first_kind(ct)
+    ab1c = second_kind(ct)[0]
     candidates = (fk[0], fk[1], ab1c)  # AB'C, ABC', AB1C
     min_area = min(c.area for c in candidates)
     minimizers = tuple(c for c in candidates if c.area <= min_area * (1.0 + tol.eps_tie))

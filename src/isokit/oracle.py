@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,8 +39,10 @@ __all__ = [
     "VerificationReport",
     "min_triangle_for_shape",
     "brute_force_min_isosceles",
+    "brute_force_min_isosceles_batch",
     "can_cover",
     "verify_triangle",
+    "verify_triangles",
 ]
 
 _APEX_MARGIN = 1e-9  # radians; apex angles this close to 0 or pi are invalid
@@ -95,38 +98,48 @@ def _check_nondegenerate(t: Triangle, tol: Tolerances) -> None:
         raise DegenerateTriangle("oracle operations need a non-degenerate triangle")
 
 
-def _centred(t: Triangle) -> tuple[float, float, np.ndarray]:
-    """Centroid of `t` and its vertices relative to it as a (3, 2) array.
+def _vertex_array(triangles: Sequence[Triangle]) -> np.ndarray:
+    """The vertices of `triangles` as an (N, 3, 2) array."""
+    return np.array([[(v.x, v.y) for v in t.vertices] for t in triangles], dtype=float)
+
+
+def _centred(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids, shape (N, 1, 2), of the triangles `v` (N, 3, 2) and their
+    vertices relative to them.
 
     A container's height and vertices come from sums and differences of
     support values, which lose the digits of a large offset; about the
     centroid they keep full precision relative to the triangle's size.
     """
-    cx = sum(v.x for v in t.vertices) / 3.0
-    cy = sum(v.y for v in t.vertices) / 3.0
-    return cx, cy, np.array([[v.x - cx, v.y - cy] for v in t.vertices])
+    c = v.sum(axis=1, keepdims=True) / 3.0
+    return c, v - c
 
 
-def _side_supports(p: np.ndarray, delta, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support values (h1, h2, hb) of the points `p` (shape (k, 2)) at the
-    outward normals of the two legs and the base of the isosceles shape with
-    apex angle `delta` and axis direction `psi`; broadcasts over `delta` and
-    `psi`.
+def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support values (h1, h2, hb) of a triangle at the outward normals of
+    the two legs and the base of the isosceles shape with apex angle `delta`
+    and axis direction `psi`.
 
+    `x` and `y` hold the vertex coordinates with the vertex axis first; the
+    rest of their shape broadcasts against `delta` and `psi`, so one
+    triangle's coordinates have shape (3,) and a batch's (3, N, 1, ..., 1).
     The leg normals point along psi -/+ (pi/2 - delta/2), the base normal
     along psi + pi.
     """
     sh, ch = np.sin(0.5 * delta), np.cos(0.5 * delta)
     ux, uy = np.cos(psi), np.sin(psi)
-
-    def support(nx, ny):
-        return np.max(np.multiply.outer(nx, p[:, 0]) + np.multiply.outer(ny, p[:, 1]), axis=-1)
-
-    return (
-        support(sh * ux + ch * uy, sh * uy - ch * ux),
-        support(sh * ux - ch * uy, sh * uy + ch * ux),
-        support(-ux, -uy),
-    )
+    a, b = sh * ux, ch * uy
+    nx = np.array((a + b, a - b, -ux))
+    a, b = sh * uy, ch * ux
+    ny = np.array((a - b, a + b, -uy))
+    del a, b, ux, uy  # a batch's peak memory is a handful of these arrays
+    # one vertex at a time: no temporary larger than the result
+    h = None
+    for xv, yv in zip(x, y):
+        dot = nx * xv
+        dot += ny * yv
+        h = dot if h is None else np.maximum(h, dot, out=h)
+    return h[0], h[1], h[2]
 
 
 def min_triangle_for_shape(
@@ -141,8 +154,9 @@ def min_triangle_for_shape(
     sh, ch = math.sin(half), math.cos(half)
     if sh <= 0.0 or ch <= 0.0:
         raise UnboundedShape(f"apex angle {sp.apex_angle} does not bound a triangle")
-    cx, cy, p = _centred(t)
-    h1, h2, hb = (float(h) for h in _side_supports(p, sp.apex_angle, sp.rotation))
+    centre, p = _centred(_vertex_array([t]))
+    cx, cy = centre.ravel().tolist()
+    h1, h2, hb = (float(h) for h in _side_supports(p[0, :, 0], p[0, :, 1], sp.apex_angle, sp.rotation))
     psi = sp.rotation
     ux, uy = math.cos(psi), math.sin(psi)  # axis: base midpoint -> apex
     px, py = -uy, ux
@@ -159,26 +173,27 @@ def min_triangle_for_shape(
     return Triangle(to_point(xi_apex, eta_apex), to_point(xi_base, eta_1), to_point(xi_base, eta_2))
 
 
-def _shape_frame(t: Triangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A centred copy of `t` scaled to unit size, its interior angles, and
-    the direction angles of the outward normals of its sides."""
-    p = _centred(t)[2]
-    p /= np.abs(p).max()
-    ahead = np.roll(p, -1, axis=0) - p
-    behind = np.roll(p, 1, axis=0) - p
-    cross = ahead[:, 0] * behind[:, 1] - ahead[:, 1] * behind[:, 0]
+def _shape_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For triangles with vertices `v` (N, 3, 2): centred copies scaled to
+    unit size, their interior angles and the direction angles of the outward
+    normals of their sides, both (N, 3)."""
+    p = _centred(v)[1]
+    p /= np.abs(p).max(axis=(1, 2), keepdims=True)
+    ahead = p[:, [1, 2, 0]] - p
+    behind = p[:, [2, 0, 1]] - p
+    cross = ahead[..., 0] * behind[..., 1] - ahead[..., 1] * behind[..., 0]
     # atan2 of (|cross|, dot) keeps needle angles accurate
-    angles = np.arctan2(np.abs(cross), np.sum(ahead * behind, axis=1))
+    angles = np.arctan2(np.abs(cross), np.sum(ahead * behind, axis=2))
     # side k runs from vertex k to k + 1; its outward normal is a quarter
     # turn clockwise from it when the vertices wind counter-clockwise
-    normals = np.arctan2(ahead[:, 1], ahead[:, 0]) - math.copysign(0.5 * math.pi, cross[0])
+    normals = np.arctan2(ahead[..., 1], ahead[..., 0]) - np.copysign(0.5 * math.pi, cross[:, :1])
     return p, angles, normals
 
 
 def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     """Every apex angle at which a flush container's area, as a function of
-    the apex angle, can have a local minimum, for a triangle with interior
-    angles `angles`.
+    the apex angle, can have a local minimum, for triangles with interior
+    angles `angles` (N, 3); returns (N, M).
 
     With one container side on the line of an input side PQ, the other two
     sides each pass through P, Q or the third vertex R.  Which one changes
@@ -195,75 +210,113 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
       - free sides through P and Q: area ~ sin(delta), least on a kink.
     Extra candidates are harmless (each is a valid container), so every
     root's real part is kept.
+
+    Each row lists the kinks, pi/2 and then the roots in a fixed order.  A
+    root slot that is positive in no row is dropped, so a batch of one keeps
+    exactly its positive roots; in another row a non-positive root becomes
+    pi/2, which repeats an earlier candidate and so never wins a first-index
+    argmin.
     """
     k = 1.0 / np.tan(angles)
     zero, one = np.zeros_like(k), np.ones_like(k)
-    # monic quartics t^4 + c3 t^3 + c2 t^2 + c1 t + c0 (the cubic times t)
+    # monic quartics t^4 + c3 t^3 + c2 t^2 + c1 t + c0 (the cubic times t),
+    # the three cubics of a triangle before its three quartics
     coeffs = np.concatenate(
-        [np.stack([-k, 3.0 * one, k, zero], axis=1), np.stack([2.0 * k, 6.0 * one, -2.0 * k, one], axis=1)]
+        [np.stack([-k, 3.0 * one, k, zero], axis=-1), np.stack([2.0 * k, 6.0 * one, -2.0 * k, one], axis=-1)],
+        axis=1,
     )
-    companion = np.zeros((len(coeffs), 4, 4))
-    companion[:, 0, :] = -coeffs
-    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
-    roots = np.linalg.eigvals(companion).real.ravel()
+    companion = np.zeros(coeffs.shape + (4,))
+    companion[..., 0, :] = -coeffs
+    companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
+    roots = np.linalg.eigvals(companion).real.reshape(len(k), -1)
+    positive = roots > 0.0
+    used = positive.any(axis=0)
+    roots, positive = roots[:, used], positive[:, used]
+    quarter = np.full((len(k), 1), 0.5 * math.pi)
     deltas = np.concatenate(
-        [angles, math.pi - 2.0 * angles, [0.5 * math.pi], 2.0 * np.arctan(roots[roots > 0.0])]
+        [angles, math.pi - 2.0 * angles, quarter, np.where(positive, 2.0 * np.arctan(roots), quarter)], axis=1
     )
     # out-of-range angles move to valid ones (ShapeParams excludes the margin)
     return np.clip(deltas, 2.0 * _APEX_MARGIN, math.pi - 2.0 * _APEX_MARGIN)
 
 
-def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """The nine rotations per apex angle at which the base, the first leg or
-    the second leg is flush with an input side of outward normal angle in
-    `normals`; returns apex angles and rotations, both (len(deltas), 9)."""
-    half = 0.5 * deltas[:, None]
-    nu = normals[None, :]
-    psis = np.concatenate(
-        np.broadcast_arrays(nu + math.pi, nu + 0.5 * math.pi - half, nu - 0.5 * math.pi + half), axis=1
-    )
-    return np.broadcast_to(deltas[:, None], psis.shape), psis
+    the second leg is flush with an input side, for outward normal angles
+    `normals` (N, 3) and apex angles `deltas` (N, M); returns (N, M, 9)."""
+    half = 0.5 * deltas[..., None]
+    nu = normals[:, None, :]
+    psis = np.empty(deltas.shape + (9,))
+    psis[..., :3] = nu + math.pi
+    np.subtract(nu + 0.5 * math.pi, half, out=psis[..., 3:6])
+    np.add(nu - 0.5 * math.pi, half, out=psis[..., 6:])
+    return psis
 
 
-def _container_areas(p: np.ndarray, delta, psi) -> np.ndarray:
-    """Areas of the supporting-line containers of the points `p` for the
-    shapes (delta, psi): tan(delta/2) * H^2 with H the apex-to-base height."""
-    h1, h2, hb = _side_supports(p, delta, psi)
+def _container_areas(p: np.ndarray, deltas: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Areas of the supporting-line containers of the triangles `p` (N, 3, 2)
+    for the apex angles `deltas` (N, M) at the rotations `psis` (N, M, K):
+    tan(delta/2) * H^2 with H the apex-to-base height; returns (N, M, K)."""
+    x, y = (p[..., i].T.reshape(3, len(p), 1, 1) for i in (0, 1))
+    delta = deltas[..., None]
+    h1, h2, hb = _side_supports(x, y, delta, psis)
     height = (h1 + h2) / (2.0 * np.sin(0.5 * delta)) + hb
     return np.tan(0.5 * delta) * height * height
 
 
-def brute_force_min_isosceles(
-    t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> OracleResult:
-    """Minimum-area isosceles triangle containing `t`, by an exact search
-    over (apex angle, axis direction) that does not use the closed-form
-    candidate analysis.
+def brute_force_min_isosceles_batch(
+    triangles: Iterable[Triangle], tol: Tolerances = DEFAULT_TOLERANCES
+) -> list[OracleResult]:
+    """Minimum-area isosceles triangle containing each of `triangles`, by an
+    exact search over (apex angle, axis direction) that does not use the
+    closed-form candidate analysis.
 
     Fixed apex angle: between consecutive rotations at which a side normal
-    crosses an outward normal of `t` (nine per apex angle), the supporting
-    vertices are fixed and the container height is a sinusoid in the
-    rotation with no constant term.  It is positive and equal to minus its
-    second derivative, so it is concave there and its minimum over rotations
-    sits at one of the nine crossings, where a container side is flush with
-    a side of `t`.
+    crosses an outward normal of the input (nine per apex angle), the
+    supporting vertices are fixed and the container height is a sinusoid in
+    the rotation with no constant term.  It is positive and equal to minus
+    its second derivative, so it is concave there and its minimum over
+    rotations sits at one of the nine crossings, where a container side is
+    flush with a side of the input.
 
     Apex angle: the flush containers' areas are smooth between closed-form
     kinks, with closed-form or polynomial stationary points (see
     `_candidate_apex_angles`).  The minimum is at one of those apex angles,
     each evaluated at all nine flush rotations.
 
-    The search runs on a centred, unit-size copy of `t`; the witness is
-    built on `t` itself.  Deterministic: ties go to the first candidate.
+    All triangles go through one array pass, each on its own centred,
+    unit-size copy and with its own argmin, so a result does not depend on
+    the rest of the batch; the witness is built on the triangle itself.
+    Every triangle is checked before the search.  Deterministic: ties go to
+    the first candidate.
     """
-    _check_nondegenerate(t, tol)
-    p, angles, normals = _shape_frame(t)
-    deltas, psis = _flush_rotations(normals, _candidate_apex_angles(angles))
-    best = int(np.argmin(_container_areas(p, deltas, psis)))
+    triangles = list(triangles)
+    if not triangles:
+        return []
+    for t in triangles:
+        _check_nondegenerate(t, tol)
+    p, angles, normals = _shape_frame(_vertex_array(triangles))
+    deltas = _candidate_apex_angles(angles)
+    psis = _flush_rotations(normals, deltas)
+    best = np.argmin(_container_areas(p, deltas, psis).reshape(len(triangles), -1), axis=1)
+    rows = np.arange(len(triangles))
+    apex_angles = deltas[rows, best // psis.shape[-1]].tolist()
+    rotations = psis.reshape(len(triangles), -1)[rows, best].tolist()
 
-    params = ShapeParams(apex_angle=float(deltas.flat[best]), rotation=float(psis.flat[best]))
-    witness = min_triangle_for_shape(t, params, tol)
-    return OracleResult(min_area=area(witness), witness=witness, params=params)
+    results = []
+    for t, apex_angle, rotation in zip(triangles, apex_angles, rotations):
+        params = ShapeParams(apex_angle=apex_angle, rotation=rotation)
+        witness = min_triangle_for_shape(t, params, tol)
+        results.append(OracleResult(min_area=area(witness), witness=witness, params=params))
+    return results
+
+
+def brute_force_min_isosceles(
+    t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES
+) -> OracleResult:
+    """Minimum-area isosceles triangle containing `t`: the one-triangle
+    batch of `brute_force_min_isosceles_batch`."""
+    return brute_force_min_isosceles_batch([t], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +506,18 @@ def _witness_flags(
     }
 
 
-def verify_triangle(
-    ct: CanonicalTriangle,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    eps_geom: float = 1e-5,
+def _closed_forms(cts: Sequence[CanonicalTriangle], tol: Tolerances) -> list[MinimizerResult]:
+    """The closed-form minimum of each of `cts`, after checking that every
+    one is scalene."""
+    for ct in cts:
+        if ct.shape_class is not ShapeClass.SCALENE:
+            raise NotScalene("verification runs on scalene triangles only")
+    return [minimum_isosceles_container(ct, tol) for ct in cts]
+
+
+def _report(
+    ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult, eps_geom: float
 ) -> VerificationReport:
-    """Compare the closed-form minimum against the brute-force oracle and
-    check the boundary structure of the oracle's witness."""
-    if ct.shape_class is not ShapeClass.SCALENE:
-        raise NotScalene("verification runs on scalene triangles only")
-    closed = minimum_isosceles_container(ct, tol)
-    oracle = brute_force_min_isosceles(ct.tri, tol)
     gap = (oracle.min_area - closed.min_area) / closed.min_area
     flags = _witness_flags(ct, oracle.witness, eps_geom)
     boundary_ok = (
@@ -483,3 +537,30 @@ def verify_triangle(
         oracle_result=oracle,
         flags=flags,
     )
+
+
+def verify_triangles(
+    cts: Iterable[CanonicalTriangle],
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    eps_geom: float = 1e-5,
+) -> list[VerificationReport]:
+    """Compare the closed-form minimum against the brute-force oracle and
+    check the boundary structure of the oracle's witness, for each of `cts`.
+    The oracle searches all of them in one batch; every triangle is checked
+    before the search."""
+    cts = list(cts)
+    closed = _closed_forms(cts, tol)
+    oracles = brute_force_min_isosceles_batch([ct.tri for ct in cts], tol)
+    return [_report(*case, eps_geom) for case in zip(cts, closed, oracles)]
+
+
+def verify_triangle(
+    ct: CanonicalTriangle,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    eps_geom: float = 1e-5,
+) -> VerificationReport:
+    """`verify_triangles` for one triangle.  It calls the oracle through
+    `brute_force_min_isosceles`, so a caller that wraps that function (the
+    benchmark's tracer does) still sees single searches."""
+    (closed,) = _closed_forms([ct], tol)
+    return _report(ct, closed, brute_force_min_isosceles(ct.tri, tol), eps_geom)

@@ -32,7 +32,7 @@ from isokit import (
     triangle_at_crossing,
     triangle_from_angles,
     triangle_from_sides,
-    verify_triangle,
+    verify_triangles,
 )
 
 SEED = 42
@@ -60,7 +60,7 @@ def batch():
     margin) with their closed-form-vs-oracle verification reports."""
     triangles = sample_canonical_triangles(seed=SEED, count=1000)
     t0 = time.perf_counter()
-    reports = [verify_triangle(ct) for ct in triangles]
+    reports = verify_triangles(triangles)
     elapsed = time.perf_counter() - t0
     return triangles, reports, elapsed
 

@@ -4,7 +4,13 @@ import warnings
 
 import pytest
 
-from isokit import all_special_containers, minimum_isosceles_container, triangle_from_sides, verify_triangle
+from isokit import (
+    all_special_containers,
+    minimum_isosceles_container,
+    sample_canonical_triangles,
+    triangle_from_sides,
+    verify_triangle,
+)
 from isokit.cli import containers_report, main, min_report, verify_case_report
 
 
@@ -153,6 +159,21 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_cases_match_single_triangle_path(self, capsys, tmp_path):
+        # the run verifies its samples in one batch; each case must be what
+        # verifying that triangle on its own reports
+        path = tmp_path / "cases.json"
+        code, _, _ = run(
+            capsys, "verify", "--samples", "20", "--seed", "1716262142", "--out", str(path)
+        )
+        assert code == 0
+        cases = json.loads(path.read_text())["cases"]
+        expected = [
+            verify_case_report(verify_triangle(ct))
+            for ct in sample_canonical_triangles(seed=1716262142, count=20)
+        ]
+        assert cases == json.loads(json.dumps(expected))
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("ISOKIT_SEED", "5")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from isokit import (
     all_special_containers,
     area,
     brute_force_min_isosceles,
+    brute_force_min_isosceles_batch,
     can_cover,
     contains_triangle,
     first_kind,
@@ -25,12 +27,15 @@ from isokit import (
     triangle_from_angles,
     triangle_from_sides,
     verify_triangle,
+    verify_triangles,
 )
+from isokit import oracle
 from isokit.oracle import (
     _candidate_apex_angles,
     _container_areas,
     _flush_rotations,
     _shape_frame,
+    _vertex_array,
 )
 
 
@@ -161,20 +166,23 @@ class TestBruteForce:
         # (1) at a fixed apex angle no rotation beats the nine flush ones;
         # (2) every local minimum over the apex angle of each flush family
         #     sits at a candidate apex angle
+        # Each shape is a batch of one: the grids stand in for the candidate
+        # apex angles (one row of M) and the flush rotations (one row of K).
         rng = np.random.default_rng(11)
         grid = np.linspace(1e-3, math.pi - 1e-3, 4001)
         step = grid[1] - grid[0]
+        rot = np.linspace(0.0, 2.0 * math.pi, 20001)
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
-            p, angles, normals = _shape_frame(
-                triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
-            )
-            candidates = _candidate_apex_angles(angles)
-            flush = _container_areas(p, *_flush_rotations(normals, grid))
+            tri = triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
+            p, angles, normals = _shape_frame(_vertex_array([tri]))
+            candidates = _candidate_apex_angles(angles)[0]
+            deltas = grid[None, :]
+            flush = _container_areas(p, deltas, _flush_rotations(normals, deltas))[0]
+            assert flush.shape == (len(grid), 9)
 
             for i in (500, 2000, 3500):
-                rot = np.linspace(0.0, 2.0 * math.pi, 20001)
-                dense = _container_areas(p, grid[i], rot).min()
+                dense = _container_areas(p, deltas[:, i : i + 1], rot[None, None, :]).min()
                 assert flush[i].min() <= dense * (1.0 + 1e-12)
 
             for f in flush.T:
@@ -300,3 +308,47 @@ class TestVerifyTriangle:
             assert abs(rep.relative_gap) <= 1e-9
             assert rep.boundary_invariants_ok
             assert rep.shares_side_and_angle
+
+
+class TestBatchAPI:
+    COLLINEAR = Triangle(Point(0, 0), Point(1, 1), Point(2, 2))
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        # a call that reaches the search fails the test
+        def searched(*args):
+            raise AssertionError("the search ran before the inputs were checked")
+
+        monkeypatch.setattr(oracle, "_shape_frame", searched)
+
+    def test_empty(self):
+        assert brute_force_min_isosceles_batch([]) == []
+        assert verify_triangles([]) == []
+
+    def test_matches_single_calls(self):
+        cts = sample_canonical_triangles(seed=29, count=6)
+        reports = verify_triangles(cts)
+        assert [r.oracle_result for r in reports] == brute_force_min_isosceles_batch(ct.tri for ct in cts)
+        for ct, rep in zip(cts, reports):
+            assert rep == verify_triangle(ct)
+
+    def test_isosceles_member(self, no_search):
+        cts = [*sample_canonical_triangles(seed=29, count=3), triangle_from_sides(2, 2, 3)]
+        with pytest.raises(NotScalene):
+            verify_triangles(cts)
+        with pytest.raises(NotScalene):
+            verify_triangle(cts[-1])
+
+    def test_collinear_member(self, no_search):
+        cts = sample_canonical_triangles(seed=29, count=3)
+        with pytest.raises(DegenerateTriangle):
+            brute_force_min_isosceles_batch([ct.tri for ct in cts] + [self.COLLINEAR])
+        with pytest.raises(DegenerateTriangle):
+            brute_force_min_isosceles(self.COLLINEAR)
+        # a scalene record whose vertices collapsed passes the scalene check
+        # and is caught by the oracle's own check, as in the one-triangle call
+        flat = dataclasses.replace(cts[0], tri=self.COLLINEAR)
+        with pytest.raises(DegenerateTriangle):
+            verify_triangles([*cts, flat])
+        with pytest.raises(DegenerateTriangle):
+            verify_triangle(flat)

@@ -13,6 +13,7 @@ from isokit import (
     Point,
     Triangle,
     brute_force_min_isosceles,
+    brute_force_min_isosceles_batch,
     canonicalize,
     minimum_isosceles_container,
     sample_canonical_triangles,
@@ -24,52 +25,90 @@ GAP_TOL = 1e-9
 # right triangle with legs 4 and 3 on the axes; its minimum container ABC'
 # has area 7.5 and integer vertices, so offsets up to 1e8 stay exact
 T345 = ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
+NEEDLES = [(0.1, 30.0), (0.03, 80.0)]  # (alpha, beta) in degrees
+OFFSETS = [1e7, 1e8]
+SCALES = [1e-6, 1e12]
+SAMPLER_SEED = 1716262142
+
+
+def triangle(pts) -> Triangle:
+    return Triangle(*(Point(x, y) for x, y in pts))
+
+
+def needle(alpha_deg: float, beta_deg: float):
+    return triangle_from_angles(math.radians(alpha_deg), math.radians(beta_deg))
+
+
+def far_345(offset: float) -> list[tuple[float, float]]:
+    return [(x + offset, y + offset) for x, y in T345]
+
+
+def scaled(scale: float) -> list[tuple[float, float]]:
+    base = [(p.x, p.y) for p in triangle_from_angles(0.4, 1.1).tri.vertices]
+    return [(scale * x, scale * y) for x, y in base]
+
+
+def rigid_pair() -> tuple[Triangle, Triangle]:
+    """A triangle and a rotated, reflected and moved copy of it."""
+    base = [(p.x, p.y) for p in triangle_from_angles(0.6, 1.05).tri.vertices]
+    c, s = math.cos(2.2), math.sin(2.2)
+    moved = [(c * x + s * y + 3.0, s * x - c * y - 1.0) for x, y in base]
+    return triangle(base), triangle(moved)
 
 
 def closed_form_area(pts) -> float:
     """Closed-form minimum area of the triangle `pts` (posed at the origin)."""
-    tri = Triangle(*(Point(x, y) for x, y in pts))
-    return minimum_isosceles_container(canonicalize(tri)).min_area
+    return minimum_isosceles_container(canonicalize(triangle(pts))).min_area
 
 
 def oracle_gap(pts, reference: float) -> float:
-    tri = Triangle(*(Point(x, y) for x, y in pts))
-    return (brute_force_min_isosceles(tri).min_area - reference) / reference
+    return (brute_force_min_isosceles(triangle(pts)).min_area - reference) / reference
 
 
-@pytest.mark.parametrize("alpha_deg, beta_deg", [(0.1, 30.0), (0.03, 80.0)])
+@pytest.mark.parametrize("alpha_deg, beta_deg", NEEDLES)
 def test_needle(alpha_deg, beta_deg):
-    ct = triangle_from_angles(math.radians(alpha_deg), math.radians(beta_deg))
-    rep = verify_triangle(ct)
+    rep = verify_triangle(needle(alpha_deg, beta_deg))
     assert abs(rep.relative_gap) <= GAP_TOL
     assert rep.boundary_invariants_ok
 
 
-@pytest.mark.parametrize("offset", [1e7, 1e8])
+@pytest.mark.parametrize("offset", OFFSETS)
 def test_345_far_offset(offset):
-    pts = [(x + offset, y + offset) for x, y in T345]
-    assert abs(oracle_gap(pts, closed_form_area(T345))) <= GAP_TOL
+    assert abs(oracle_gap(far_345(offset), closed_form_area(T345))) <= GAP_TOL
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e12])
+@pytest.mark.parametrize("scale", SCALES)
 def test_scale(scale):
-    base = [(p.x, p.y) for p in triangle_from_angles(0.4, 1.1).tri.vertices]
-    pts = [(scale * x, scale * y) for x, y in base]
+    pts = scaled(scale)
     assert abs(oracle_gap(pts, closed_form_area(pts))) <= GAP_TOL
 
 
 def test_rotated_reflected_copy():
-    base = [(p.x, p.y) for p in triangle_from_angles(0.6, 1.05).tri.vertices]
-    c, s = math.cos(2.2), math.sin(2.2)
-    moved = [(c * x + s * y + 3.0, s * x - c * y - 1.0) for x, y in base]
-    a0 = brute_force_min_isosceles(Triangle(*(Point(x, y) for x, y in base))).min_area
-    a1 = brute_force_min_isosceles(Triangle(*(Point(x, y) for x, y in moved))).min_area
+    a0, a1 = (brute_force_min_isosceles(t).min_area for t in rigid_pair())
     assert a1 == pytest.approx(a0, rel=1e-12)
 
 
 def test_default_sampler_seed_1716262142():
     # the batch `isokit verify --samples 20 --seed 1716262142` checks
-    for ct in sample_canonical_triangles(seed=1716262142, count=20):
+    for ct in sample_canonical_triangles(seed=SAMPLER_SEED, count=20):
         rep = verify_triangle(ct)
         assert abs(rep.relative_gap) <= GAP_TOL
         assert all(rep.flags.values()), rep.flags
+
+
+def test_batch_results_match_single_searches():
+    # every input above in one batch: each result must equal the same
+    # triangle searched alone, and the batch searched in reverse order; a
+    # normalisation or an argmin shared across the batch would break both
+    batch = [
+        *(needle(*angles).tri for angles in NEEDLES),
+        *(triangle(far_345(offset)) for offset in OFFSETS),
+        *(triangle(scaled(scale)) for scale in SCALES),
+        *rigid_pair(),
+        *(ct.tri for ct in sample_canonical_triangles(seed=SAMPLER_SEED, count=20)),
+    ]
+    together = brute_force_min_isosceles_batch(batch)
+    assert len(together) == len(batch) == 28
+    for t, result in zip(batch, together):
+        assert result == brute_force_min_isosceles(t)
+    assert brute_force_min_isosceles_batch(batch[::-1])[::-1] == together
