@@ -112,7 +112,7 @@ def min_report(ct: CanonicalTriangle, result: MinimizerResult) -> dict:
         "self_container": result.is_self,
         "min_area": result.min_area,
         "min_ratio": result.min_ratio,
-        "count": result.count,
+        "count": len(result.minimizers),
         "minimizers": [m.label for m in result.minimizers],
         "candidates": [container_report(sc) for sc in result.candidates],
     }
@@ -243,7 +243,7 @@ def cmd_min(args: argparse.Namespace) -> int:
     _print_triangle(ct)
     result = minimum_isosceles_container(ct, tol)
     names = ", ".join(m.label for m in result.minimizers)
-    print(f"minimizer: {names} (count {result.count})")
+    print(f"minimizer: {names} (count {len(result.minimizers)})")
     print(f"min area = {_fmt(result.min_area)}")
     print(f"min ratio = {_fmt(result.min_ratio)}")
     if result.candidates:
@@ -360,7 +360,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         print(
             f"tie triangle: angles {_fmt(math.degrees(ct.alpha))}, "
             f"{_fmt(math.degrees(ct.beta))}, {_fmt(math.degrees(ct.gamma))} deg; "
-            f"minimizer count {result.count}"
+            f"minimizer count {len(result.minimizers)}"
         )
         if args.out:
             _emit_json(
@@ -372,7 +372,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
                     "alpha_star": root,
                     "alpha_star_deg": math.degrees(root),
                     "residual": alpha_star_equation(root),
-                    "tie_count": result.count,
+                    "tie_count": len(result.minimizers),
                 },
             )
         return EXIT_OK

@@ -74,12 +74,11 @@ class MinimizerResult:
     min_area: float
     min_ratio: float
     minimizers: tuple
-    count: int
     candidates: tuple[SpecialContainer, ...]
 
     @property
     def is_self(self) -> bool:
-        return self.count == 1 and self.minimizers[0] is SELF_CONTAINER
+        return len(self.minimizers) == 1 and self.minimizers[0] is SELF_CONTAINER
 
 
 def minimum_isosceles_container(
@@ -97,7 +96,6 @@ def minimum_isosceles_container(
             min_area=ct.area,
             min_ratio=1.0,
             minimizers=(SELF_CONTAINER,),
-            count=1,
             candidates=(),
         )
     fk = first_kind(ct)
@@ -109,7 +107,6 @@ def minimum_isosceles_container(
         min_area=min_area,
         min_ratio=min_area / ct.area,
         minimizers=minimizers,
-        count=len(minimizers),
         candidates=candidates,
     )
 

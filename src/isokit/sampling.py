@@ -9,10 +9,12 @@ stay out of the default batches.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geo import DEFAULT_TOLERANCES, CanonicalTriangle, Point, Tolerances, Triangle, canonicalize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_MIN_ANGLE",
@@ -33,14 +35,27 @@ def sample_scalene_angles(
     scalene_margin: float = DEFAULT_SCALENE_MARGIN,
 ) -> tuple[float, float, float]:
     """One angle triple, ascending, uniform on the simplex subject to the
-    margins."""
+    margins.
+
+    The accepted triples alpha <= beta <= gamma are those with
+    alpha >= min_angle and both gaps >= scalene_margin: the ordered simplex
+    shrunk by the factor (pi - 3 min_angle+ - 3 scalene_margin+) / pi, where
+    x+ = max(x, 0).  A draw is accepted with that factor squared, so margins
+    that leave the factor at or below 0 raise `ValueError` instead of looping
+    forever.
+    """
+    if 3.0 * max(min_angle, 0.0) + 3.0 * max(scalene_margin, 0.0) >= math.pi:
+        raise ValueError(
+            f"min_angle {min_angle:.6g} and scalene_margin {scalene_margin:.6g} (radians) leave no "
+            "triangle: 3 * min_angle + 3 * scalene_margin must be below pi, negative values counting as 0"
+        )
     while True:
-        angles = np.sort(math.pi * rng.dirichlet((1.0, 1.0, 1.0)))
+        angles = sorted((math.pi * rng.dirichlet((1.0, 1.0, 1.0))).tolist())
         if angles[0] < min_angle:
             continue
         if angles[1] - angles[0] < scalene_margin or angles[2] - angles[1] < scalene_margin:
             continue
-        return float(angles[0]), float(angles[1]), float(angles[2])
+        return angles[0], angles[1], angles[2]
 
 
 def triangle_from_angles(
@@ -88,6 +103,9 @@ def sample_canonical_triangles(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[CanonicalTriangle]:
     """Deterministic batch of scalene triangles for the given seed."""
+    # imported on first use, so that `import isokit` does not load numpy
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

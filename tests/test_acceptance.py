@@ -116,12 +116,12 @@ def test_criterion_2_t_star_triple_tie():
     ok_tie = tie_dev <= 1e-9
     ok_b2 = b2_dev <= 1e-9
     ok_runtime = runtime < 1e-3
-    ok = ok_tie and ok_b2 and ok_runtime and res.count == 3
+    ok = ok_tie and ok_b2 and ok_runtime and len(res.minimizers) == 3
     _line(
         2,
         ok,
         f"pairwise tie deviation {tie_dev:.2e} (tol 1e-9), b^2 vs ac "
-        f"{b2_dev:.2e} (tol 1e-9), count={res.count}, runtime={runtime * 1e3:.3f} ms",
+        f"{b2_dev:.2e} (tol 1e-9), count={len(res.minimizers)}, runtime={runtime * 1e3:.3f} ms",
     )
     assert ok
 
@@ -258,7 +258,7 @@ def test_criterion_8_second_kind_family(batch):
         beta = math.pi - alpha - gamma
         ct = triangle_from_angles(alpha, beta)
         res = minimum_isosceles_container(ct)
-        ok_unique = ok_unique and res.count == 1 and res.minimizers[0].label == "AB1C"
+        ok_unique = ok_unique and len(res.minimizers) == 1 and res.minimizers[0].label == "AB1C"
         mint = canonicalize(res.minimizers[0].tri)
         ok_obtuse = ok_obtuse and mint.gamma > math.pi / 2
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import isokit
 from isokit import (
     all_special_containers,
     minimum_isosceles_container,
@@ -193,6 +198,20 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_infeasible_margins_exit_2(self):
+        # no angle triple meets these margins, so a sampler that kept drawing
+        # would never return: the timeout turns that into a failure
+        src = str(Path(isokit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "isokit.cli", "verify", "--samples", "1", "--min-angle", "60"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "scalene_margin" in proc.stderr
 
     def test_bad_root_tol_exits_2(self, capsys):
         # 1e-300 is below the float spacing of the bisection bracket

@@ -48,7 +48,7 @@ def big_batch():
 class TestMinimumContainer:
     def test_345(self):
         res = minimum_isosceles_container(triangle_from_sides(3, 4, 5))
-        assert res.count == 1
+        assert len(res.minimizers) == 1
         assert res.minimizers[0].label == "ABC'"
         assert res.min_ratio == pytest.approx(1.25, rel=1e-12)
         assert res.min_area == pytest.approx(7.5, rel=1e-12)
@@ -60,7 +60,7 @@ class TestMinimumContainer:
         assert res.is_self
         assert res.minimizers == (SELF_CONTAINER,)
         assert res.min_ratio == 1.0
-        assert res.count == 1
+        assert len(res.minimizers) == 1
         assert res.candidates == ()
 
     def test_isosceles_self(self):
@@ -163,7 +163,7 @@ class TestTStar:
 
     def test_three_minimizers(self):
         res = minimum_isosceles_container(t_star())
-        assert res.count == 3
+        assert len(res.minimizers) == 3
         areas = [c.area for c in res.candidates]
         for x in areas:
             for y in areas:

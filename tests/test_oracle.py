@@ -29,8 +29,8 @@ from isokit import (
     verify_triangle,
     verify_triangles,
 )
-from isokit import oracle
-from isokit.oracle import (
+from isokit import _search
+from isokit._search import (
     _candidate_apex_angles,
     _container_areas,
     _flush_rotations,
@@ -319,7 +319,7 @@ class TestBatchAPI:
         def searched(*args):
             raise AssertionError("the search ran before the inputs were checked")
 
-        monkeypatch.setattr(oracle, "_shape_frame", searched)
+        monkeypatch.setattr(_search, "_shape_frame", searched)
 
     def test_empty(self):
         assert brute_force_min_isosceles_batch([]) == []

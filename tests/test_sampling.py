@@ -35,6 +35,24 @@ def test_margins_respected():
         assert al + be + ga == pytest.approx(math.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("min_angle, scalene_margin", [(30, 30), (60, 0), (0, 60), (70, -10)])
+def test_infeasible_margins_raise(min_angle, scalene_margin):
+    # 3 * min_angle + 3 * scalene_margin >= 180 degrees leaves no triangle
+    # to accept, so a rejection loop that kept drawing would never return
+    with pytest.raises(ValueError, match="scalene_margin"):
+        sample_canonical_triangles(
+            0, 1, min_angle=math.radians(min_angle), scalene_margin=math.radians(scalene_margin)
+        )
+
+
+def test_margins_near_the_bound():
+    # 3 * 50 + 3 * 9 = 177 degrees: one draw in about 3600 is accepted
+    (ct,) = sample_canonical_triangles(0, 1, min_angle=math.radians(50), scalene_margin=math.radians(9))
+    al, be, ga = sorted((ct.alpha, ct.beta, ct.gamma))
+    assert al >= math.radians(50)
+    assert min(be - al, ga - be) >= math.radians(9) - 1e-12
+
+
 def test_batch_is_scalene():
     for ct in sample_canonical_triangles(seed=3, count=50):
         assert ct.shape_class is ShapeClass.SCALENE
