@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import Triangle
-from .oracle import _APEX_MARGIN
+from .geo import _APEX_MARGIN, Triangle
 
 
 def _vertex_array(triangles: Sequence[Triangle]) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Planar primitives: tolerances, points, triangles, canonical labeling,
-containment predicates, and support lines.
+"""Planar primitives: tolerances, points, triangles, canonical labeling
+and containment predicates.
 
 Angles are radians throughout; degrees appear only at the CLI boundary.
 Every type is immutable and every function is pure, so the whole module is
@@ -28,7 +28,6 @@ __all__ = [
     "canonicalize",
     "contains_point",
     "contains_triangle",
-    "support_line",
 ]
 
 
@@ -73,6 +72,9 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# radians; isosceles apex angles this close to 0 or pi are invalid
+_APEX_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -238,11 +240,3 @@ def contains_triangle(
     """True iff every vertex of `inner` lies in closed `outer` (convexity)."""
     return all(contains_point(outer, p, tol) for p in inner.vertices)
 
-
-def support_line(t: Triangle, normal_angle: float) -> float:
-    """Support value h = max over vertices of <v, (cos, sin)(normal_angle)>.
-
-    The supporting line is {p : <p, n> = h}; all of `t` satisfies <p, n> <= h.
-    """
-    nx, ny = math.cos(normal_angle), math.sin(normal_angle)
-    return max(p.x * nx + p.y * ny for p in t.vertices)

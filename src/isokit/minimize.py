@@ -20,6 +20,7 @@ from .geo import (
     canonicalize,
 )
 from .containers import SpecialContainer, first_kind, second_kind
+from .sampling import triangle_from_angles
 
 __all__ = [
     "BracketFailure",
@@ -252,15 +253,7 @@ def triangle_at_crossing(
     crossing, unit circumdiameter.  Its minimum container ratio tends to
     sqrt(2) from below as beta -> 0."""
     _, z = ratio_curves(beta, n_samples=3)
-    gamma = math.pi - z - beta
-    b = math.sin(beta)
-    c = math.sin(gamma)
-    tri = Triangle(
-        Point(0.0, 0.0),
-        Point(c, 0.0),
-        Point(b * math.cos(z), b * math.sin(z)),
-    )
-    return canonicalize(tri, tol)
+    return triangle_from_angles(z, beta, 1.0, tol)
 
 
 def first_kind_ratio(b: float, c: float) -> float:

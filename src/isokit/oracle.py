@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .geo import (
     DEFAULT_TOLERANCES,
+    _APEX_MARGIN,
     CanonicalTriangle,
     DegenerateTriangle,
     NotScalene,
@@ -27,6 +28,7 @@ from .geo import (
     Tolerances,
     Triangle,
     area,
+    signed_area,
 )
 from .minimize import MinimizerResult, minimum_isosceles_container
 
@@ -43,13 +45,11 @@ __all__ = [
     "verify_triangles",
 ]
 
-_APEX_MARGIN = 1e-9  # radians; apex angles this close to 0 or pi are invalid
 _TWO_PI = 2.0 * math.pi
 
 
 class UnboundedShape(ValueError):
-    """The three side normals fail to positively span the plane (impossible
-    for a valid apex angle; defensive)."""
+    """The apex angle is outside (0, pi), so the shape bounds no triangle."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ def min_triangle_for_shape(
     _check_nondegenerate(t, tol)
     half = 0.5 * sp.apex_angle
     sh, ch = math.sin(half), math.cos(half)
-    if sh <= 0.0 or ch <= 0.0:
-        raise UnboundedShape(f"apex angle {sp.apex_angle} does not bound a triangle")
     # imported on first use, so that `import isokit` does not load numpy
     from ._search import _centred, _side_supports, _vertex_array
 
@@ -187,10 +185,7 @@ def brute_force_min_isosceles(
 
 def _ccw_vertices(t: Triangle) -> list[tuple[float, float]]:
     pts = [(v.x, v.y) for v in t.vertices]
-    twice = (pts[1][0] - pts[0][0]) * (pts[2][1] - pts[0][1]) - (
-        pts[1][1] - pts[0][1]
-    ) * (pts[2][0] - pts[0][0])
-    if twice < 0.0:
+    if signed_area(t) < 0.0:
         pts[1], pts[2] = pts[2], pts[1]
     return pts
 

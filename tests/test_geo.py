@@ -15,7 +15,6 @@ from isokit import (
     contains_point,
     contains_triangle,
     signed_area,
-    support_line,
 )
 
 
@@ -167,29 +166,6 @@ class TestContainsTriangle:
         perm = Triangle(t.B, t.C, t.A)
         assert contains_triangle(t, perm) and contains_triangle(perm, t)
         assert area(perm) == pytest.approx(area(t), rel=1e-12)
-
-
-class TestSupportLine:
-    t = tri(0, 0, 1, 0, 0, 1)
-
-    def test_axis_aligned(self):
-        assert support_line(self.t, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_vertical(self):
-        assert support_line(self.t, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-
-    def test_left(self):
-        assert support_line(self.t, math.pi) == pytest.approx(0.0, abs=1e-15)
-
-    @settings(max_examples=100, deadline=None)
-    @given(t=triangles, theta=st.floats(0, 2 * math.pi))
-    def test_supporting_property(self, t, theta):
-        h = support_line(t, theta)
-        nx, ny = math.cos(theta), math.sin(theta)
-        vals = [v.x * nx + v.y * ny for v in t.vertices]
-        scale = max(1.0, max(abs(v) for v in vals))
-        assert all(v <= h + 1e-9 * scale for v in vals)
-        assert any(v == pytest.approx(h, rel=1e-12, abs=1e-12) for v in vals)
 
 
 def test_signed_area_orientation():
