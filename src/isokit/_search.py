@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import _APEX_MARGIN, Triangle
+from .geo import Triangle
 
 
 def _vertex_array(triangles: Sequence[Triangle]) -> np.ndarray:
@@ -99,11 +99,12 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     Extra candidates are harmless (each is a valid container), so every
     root's real part is kept.
 
-    Each row lists the kinks, pi/2 and then the roots in a fixed order.  A
-    root slot that is positive in no row is dropped, so a batch of one keeps
-    exactly its positive roots; in another row a non-positive root becomes
-    pi/2, which repeats an earlier candidate and so never wins a first-index
-    argmin.
+    Each row lists the kinks, pi/2 and then the roots in a fixed order, all
+    in (0, pi).  A kink pi - 2A of a right or obtuse angle A is not positive
+    and becomes pi/2.  A root slot that is positive in no row is dropped, so
+    a batch of one keeps exactly its positive roots; in another row a
+    non-positive root becomes pi/2.  Either way the pi/2 repeats an earlier
+    candidate and so never wins a first-index argmin.
     """
     k = 1.0 / np.tan(angles)
     zero, one = np.zeros_like(k), np.ones_like(k)
@@ -121,11 +122,11 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     used = positive.any(axis=0)
     roots, positive = roots[:, used], positive[:, used]
     quarter = np.full((len(k), 1), 0.5 * math.pi)
-    deltas = np.concatenate(
-        [angles, math.pi - 2.0 * angles, quarter, np.where(positive, 2.0 * np.arctan(roots), quarter)], axis=1
+    kinks = math.pi - 2.0 * angles
+    return np.concatenate(
+        [angles, np.where(kinks > 0.0, kinks, quarter), quarter, np.where(positive, 2.0 * np.arctan(roots), quarter)],
+        axis=1,
     )
-    # out-of-range angles move to valid ones (ShapeParams excludes the margin)
-    return np.clip(deltas, 2.0 * _APEX_MARGIN, math.pi - 2.0 * _APEX_MARGIN)
 
 
 def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:

@@ -153,14 +153,17 @@ def _triangle_from_json(path: str, tol: Tolerances) -> CanonicalTriangle:
     tri = doc.get("triangle") if isinstance(doc, dict) else None
     if not isinstance(tri, dict):
         raise ValueError(f"{path}: missing 'triangle' object")
-    if "sides" in tri:
-        a, b, c = (float(v) for v in tri["sides"])
-        return triangle_from_sides(a, b, c, tol)
-    if "vertices" in tri:
-        pts = [Point(float(x), float(y)) for x, y in tri["vertices"]]
-        if len(pts) != 3:
-            raise ValueError(f"{path}: need exactly 3 vertices")
-        return canonicalize(Triangle(*pts), tol)
+    try:
+        if "sides" in tri:
+            a, b, c = (float(v) for v in tri["sides"])
+            return triangle_from_sides(a, b, c, tol)
+        if "vertices" in tri:
+            pts = [Point(float(x), float(y)) for x, y in tri["vertices"]]
+            if len(pts) != 3:
+                raise ValueError(f"{path}: need exactly 3 vertices")
+            return canonicalize(Triangle(*pts), tol)
+    except TypeError as exc:  # null, a bare number or a non-number entry
+        raise ValueError(f"{path}: 'sides' must be 3 numbers and 'vertices' 3 [x, y] pairs") from exc
     raise ValueError(f"{path}: triangle needs 'sides' or 'vertices'")
 
 
@@ -253,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         scalene_margin=math.radians(args.scalene_margin),
         tol=args.tolerances,
     )
-    reports = verify_triangles(triangles, args.tolerances, args.eps_geom)
+    reports = verify_triangles(triangles, args.tolerances)
     max_gap = max(r.relative_gap for r in reports)
     min_gap = min(r.relative_gap for r in reports)
     max_min_ratio = max(r.min_result.min_ratio for r in reports)
@@ -329,7 +332,7 @@ def _extremal_golden(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _extremal_alpha_star(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    root = alpha_star(args.root_tol)
+    root = alpha_star()
     ct = t_star(args.tolerances)
     body = {
         "alpha_star": root,
@@ -406,10 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-angle", type=float, default=math.degrees(DEFAULT_MIN_ANGLE), help="sampling: minimum angle in degrees (default 5)")
     p.add_argument("--scalene-margin", type=float, default=math.degrees(DEFAULT_SCALENE_MARGIN), help="sampling: pairwise angle margin in degrees (default 1)")
     p.add_argument("--gap-tol", type=float, default=1e-3, help="max allowed relative gap (default 1e-3)")
-    p.add_argument("--eps-geom", type=float, default=1e-5, help="relative tolerance for witness structure checks (default 1e-5)")
 
     commands["extremal"].add_argument("mode", choices=list(_EXTREMAL_MODES))
-    commands["extremal"].add_argument("--root-tol", type=float, default=1e-12, help="bisection tolerance (default 1e-12)")
     commands["svg"].add_argument("--which", default="all", choices=["all", "first", "second", "third", "min"], help="container selector (default all)")
 
     for name, p in commands.items():

@@ -47,17 +47,21 @@ class NotScalene(GeometryError):
     """The operation needs three pairwise-distinct side lengths."""
 
 
+# a triangle whose area is at most this times its squared bounding-box
+# diagonal is degenerate
+_EPS_AREA_FACTOR = 1e-12
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Tolerance bundle threaded explicitly through geometric decisions.
 
-    ``eps_area_factor`` is multiplied by the squared bounding-box diagonal of
-    the figure under test to obtain the absolute area threshold.  ``eps_len``
-    and ``eps_num`` are relative; ``eps_angle`` is absolute radians;
-    ``eps_tie`` is the relative margin for declaring equal-area minimizers.
+    ``eps_len`` and ``eps_num`` are relative; ``eps_angle`` is absolute
+    radians; ``eps_tie`` is the relative margin for declaring equal-area
+    minimizers.  The degeneracy threshold is not among them: `eps_area` is
+    the fixed ``_EPS_AREA_FACTOR`` times the squared bounding-box diagonal.
     """
 
-    eps_area_factor: float = 1e-12
     eps_len: float = 1e-9
     eps_angle: float = 1e-9
     eps_num: float = 1e-9
@@ -68,13 +72,10 @@ class Tolerances:
         xs = [p.x for p in points]
         ys = [p.y for p in points]
         diag2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
-        return self.eps_area_factor * diag2
+        return _EPS_AREA_FACTOR * diag2
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-# radians; isosceles apex angles this close to 0 or pi are invalid
-_APEX_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,9 +174,6 @@ def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> Canonical
     Ties within `tol.eps_len` are broken lexicographically on vertex
     coordinates, which makes the operation idempotent.
     """
-    for p in t.vertices:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise NonFinite(f"non-finite coordinate ({p.x}, {p.y})")
     if area(t) <= tol.eps_area(*t.vertices):
         raise DegenerateTriangle(f"triangle area {area(t)} is below threshold")
 

@@ -144,17 +144,12 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def alpha_star(tol: float = 1e-12) -> float:
+def alpha_star() -> float:
     """The unique root of `alpha_star_equation` in [36, 45] degrees, radians.
 
-    Bisection on the fixed bracket down to adjacent floats, so the result's
-    interval width is at most `tol` and the residual is ~1e-16.  A `tol`
-    below the float spacing at the bracket's top cannot be met and is
-    rejected.
+    Bisection on the fixed bracket down to adjacent floats, so the result is
+    within one float spacing of the root and the residual is ~1e-16.
     """
-    spacing = math.ulp(_ALPHA_BRACKET[1])
-    if not spacing <= tol < 1e-3:
-        raise ValueError(f"tol must be in [{spacing}, 1e-3), got {tol}")
     return _bisect(alpha_star_equation, *_ALPHA_BRACKET)
 
 
@@ -175,6 +170,10 @@ def t_star(tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalTriangle:
     return canonicalize(Triangle(A, B, C), tol)
 
 
+def _eq1(b: float, c: float, alpha: float, beta: float) -> float:
+    return (c - b) * math.sin(alpha + beta) - b * math.sin(beta - alpha)
+
+
 def eq1_residual(ct: CanonicalTriangle) -> float:
     """(c - b)*sin(alpha + beta) - b*sin(beta - alpha).
 
@@ -182,9 +181,7 @@ def eq1_residual(ct: CanonicalTriangle) -> float:
     """
     if ct.shape_class is not ShapeClass.SCALENE:
         raise NotScalene("the residual is defined for scalene triangles only")
-    return (ct.c - ct.b) * math.sin(ct.alpha + ct.beta) - ct.b * math.sin(
-        ct.beta - ct.alpha
-    )
+    return _eq1(ct.b, ct.c, ct.alpha, ct.beta)
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def _curve_point(alpha: float, beta: float) -> ExtremalCurvePoint:
         gamma=gamma,
         ratio_f=c / b,
         ratio_g=1.0 / (0.5 + math.tan(alpha) / (2.0 * math.tan(beta))),
-        eq1_residual=(c - b) * math.sin(alpha + beta) - b * math.sin(beta - alpha),
+        eq1_residual=_eq1(b, c, alpha, beta),
     )
 
 

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .geo import (
     DEFAULT_TOLERANCES,
-    _APEX_MARGIN,
     CanonicalTriangle,
     DegenerateTriangle,
     NotScalene,
@@ -47,6 +46,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# relative tolerance of the witness structure checks: distances are scaled
+# by the witness's longest side, angles are in radians
+_EPS_GEOM = 1e-5
+
 
 class UnboundedShape(ValueError):
     """The apex angle is outside (0, pi), so the shape bounds no triangle."""
@@ -54,14 +57,15 @@ class UnboundedShape(ValueError):
 
 @dataclass(frozen=True)
 class ShapeParams:
-    """Isosceles container shape: apex angle in (0, pi) and the direction of
-    the symmetry axis, pointing from the base midpoint toward the apex."""
+    """Isosceles container shape: apex angle in the open interval (0, pi)
+    and the direction of the symmetry axis, pointing from the base midpoint
+    toward the apex.  Any other apex angle raises `UnboundedShape`."""
 
     apex_angle: float
     rotation: float
 
     def __post_init__(self) -> None:
-        if not _APEX_MARGIN < self.apex_angle < math.pi - _APEX_MARGIN:
+        if not 0.0 < self.apex_angle < math.pi:
             raise UnboundedShape(f"apex angle {self.apex_angle} outside (0, pi)")
         object.__setattr__(self, "rotation", self.rotation % _TWO_PI)
 
@@ -282,16 +286,14 @@ def _seg_distance(p: tuple[float, float], q0: tuple[float, float], q1: tuple[flo
     return math.hypot(dx - s * ex, dy - s * ey)
 
 
-def _witness_flags(
-    ct: CanonicalTriangle, witness: Triangle, eps_geom: float
-) -> dict[str, bool]:
+def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     w = [(v.x, v.y) for v in witness.vertices]
     ins = [(v.x, v.y) for v in ct.tri.vertices]
     scale = max(
         math.hypot(w[i][0] - w[(i + 1) % 3][0], w[i][1] - w[(i + 1) % 3][1])
         for i in range(3)
     )
-    eps = eps_geom * scale
+    eps = _EPS_GEOM * scale
 
     segs = [(w[i], w[(i + 1) % 3]) for i in range(3)]
     vertices_on_boundary = all(
@@ -342,10 +344,10 @@ def _witness_flags(
         r_w = rays(w, wj)
         angle_in = math.acos(max(-1.0, min(1.0, r_in[0][0] * r_in[1][0] + r_in[0][1] * r_in[1][1])))
         angle_w = math.acos(max(-1.0, min(1.0, r_w[0][0] * r_w[1][0] + r_w[0][1] * r_w[1][1])))
-        if abs(angle_in - angle_w) > eps_geom:
+        if abs(angle_in - angle_w) > _EPS_GEOM:
             continue
         aligned = any(
-            ri[0] * rw[0] + ri[1] * rw[1] >= math.cos(eps_geom)
+            ri[0] * rw[0] + ri[1] * rw[1] >= math.cos(_EPS_GEOM)
             for ri in r_in
             for rw in r_w
         )
@@ -371,11 +373,9 @@ def _closed_forms(cts: Sequence[CanonicalTriangle], tol: Tolerances) -> list[Min
     return [minimum_isosceles_container(ct, tol) for ct in cts]
 
 
-def _report(
-    ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult, eps_geom: float
-) -> VerificationReport:
+def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
     gap = (oracle.min_area - closed.min_area) / closed.min_area
-    flags = _witness_flags(ct, oracle.witness, eps_geom)
+    flags = _witness_flags(ct, oracle.witness)
     boundary_ok = (
         flags["vertices_on_boundary"]
         and flags["sides_touch"]
@@ -396,9 +396,7 @@ def _report(
 
 
 def verify_triangles(
-    cts: Iterable[CanonicalTriangle],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    eps_geom: float = 1e-5,
+    cts: Iterable[CanonicalTriangle], tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[VerificationReport]:
     """Compare the closed-form minimum against the brute-force oracle and
     check the boundary structure of the oracle's witness, for each of `cts`.
@@ -407,16 +405,12 @@ def verify_triangles(
     cts = list(cts)
     closed = _closed_forms(cts, tol)
     oracles = brute_force_min_isosceles_batch([ct.tri for ct in cts], tol)
-    return [_report(*case, eps_geom) for case in zip(cts, closed, oracles)]
+    return [_report(*case) for case in zip(cts, closed, oracles)]
 
 
-def verify_triangle(
-    ct: CanonicalTriangle,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    eps_geom: float = 1e-5,
-) -> VerificationReport:
+def verify_triangle(ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """`verify_triangles` for one triangle.  It calls the oracle through
     `brute_force_min_isosceles`, so a caller that wraps that function (the
     benchmark's tracer does) still sees single searches."""
     (closed,) = _closed_forms([ct], tol)
-    return _report(ct, closed, brute_force_min_isosceles(ct.tri, tol), eps_geom)
+    return _report(ct, closed, brute_force_min_isosceles(ct.tri, tol))

@@ -99,10 +99,10 @@ def sample_canonical_triangles(
     count: int,
     min_angle: float = DEFAULT_MIN_ANGLE,
     scalene_margin: float = DEFAULT_SCALENE_MARGIN,
-    scale: float = 1.0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[CanonicalTriangle]:
-    """Deterministic batch of scalene triangles for the given seed."""
+    """Deterministic batch of scalene triangles, circumdiameter 1, for the
+    given seed."""
     # imported on first use, so that `import isokit` does not load numpy
     import numpy as np
 
@@ -110,5 +110,5 @@ def sample_canonical_triangles(
     out = []
     for _ in range(count):
         alpha, beta, _ = sample_scalene_angles(rng, min_angle, scalene_margin)
-        out.append(triangle_from_angles(alpha, beta, scale, tol))
+        out.append(triangle_from_angles(alpha, beta, 1.0, tol))
     return out

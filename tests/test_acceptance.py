@@ -66,8 +66,8 @@ def batch():
 
 
 def test_criterion_1_alpha_star_regression():
-    runtime = _best_time(lambda: alpha_star(1e-12))
-    root = alpha_star(1e-12)
+    runtime = _best_time(alpha_star)
+    root = alpha_star()
     root_deg = math.degrees(root)
     residual = abs(alpha_star_equation(root))
     deviation = abs(root_deg - REFERENCE_ALPHA_STAR_DEG)

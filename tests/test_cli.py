@@ -16,7 +16,7 @@ from isokit import (
     triangle_from_sides,
     verify_triangle,
 )
-from isokit.cli import containers_report, main, min_report, verify_case_report
+from isokit.cli import build_parser, containers_report, main, min_report, verify_case_report
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +98,19 @@ class TestMin:
         code, out, _ = run(capsys, "min", "--json", str(path))
         assert code == 0
         assert "ABC'" in out
+
+    @pytest.mark.parametrize(
+        "triangle",
+        [{"sides": None}, {"sides": 5}, {"sides": [3, 4, None]}, {"vertices": [None, [1, 0], [0, 1]]}],
+        ids=["sides-null", "sides-number", "sides-null-entry", "vertices-null-entry"],
+    )
+    def test_json_non_numbers_exit_2(self, capsys, tmp_path, triangle):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"triangle": triangle}))
+        code, out, err = run(capsys, "min", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
 
     def test_report_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "min.json"
@@ -213,13 +226,6 @@ class TestVerify:
         assert proc.returncode == 2
         assert "scalene_margin" in proc.stderr
 
-    def test_bad_root_tol_exits_2(self, capsys):
-        # 1e-300 is below the float spacing of the bisection bracket
-        for root_tol in ("1", "1e-300"):
-            code, _, err = run(capsys, "extremal", "alpha_star", "--root-tol", root_tol)
-            assert code == 2
-            assert "tol" in err
-
 
 class TestExtremal:
     def test_alpha_star(self, capsys):
@@ -314,3 +320,19 @@ class TestSvg:
             capsys, "svg", "--sides", "1,1,1", "--out", str(tmp_path / "x.svg")
         )
         assert code == 2
+
+
+def test_option_list():
+    # every option string of every subcommand: a new flag shows up here
+    common = {"-h", "--help", "--tol", "--out"}
+    triangle = {"--sides", "--vertices", "--angles", "--scale", "--preset", "--json"}
+    expected = {
+        "containers": common | triangle,
+        "min": common | triangle,
+        "svg": common | triangle | {"--which"},
+        "verify": common | {"--samples", "--seed", "--min-angle", "--scalene-margin", "--gap-tol"},
+        "extremal": common,
+    }
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    got = {name: {opt for a in p._actions for opt in a.option_strings} for name, p in commands.items()}
+    assert got == expected

@@ -49,7 +49,6 @@ CASES = (
         ["extremal", "alpha_star", "--out", "out.json"],
         ["extremal", "sqrt2", "--out", "out.json"],
         ["extremal", "golden", "--out", "out.json"],
-        ["extremal", "alpha_star", "--root-tol", "1e-6"],
         # exit 2: invalid input
         ["min", "--sides", "3,4,x"],
         ["min", "--sides", "3,4"],
@@ -61,8 +60,6 @@ CASES = (
         ["min", "--sides", "3,4,5", "--tol", "2"],
         ["verify", "--samples", "0"],
         ["verify", "--samples", "1", "--min-angle", "60"],
-        ["extremal", "alpha_star", "--root-tol", "1e-300"],
-        ["extremal", "alpha_star", "--root-tol", "1"],
         ["min", "--json", "bad.json"],
         ["min", "--json", "empty.json"],
         # exit 3: I/O error

@@ -121,19 +121,11 @@ class TestAlphaStar:
         assert alpha_star_equation(math.radians(45.0)) > 0
 
     def test_root_value(self):
-        root = alpha_star(1e-12)
+        root = alpha_star()
         assert math.degrees(root) == pytest.approx(ALPHA_STAR_DEG, abs=1e-10)
 
     def test_residual_at_root(self):
-        assert abs(alpha_star_equation(alpha_star(1e-12))) < 1e-12
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            alpha_star(0.0)
-        with pytest.raises(ValueError):
-            alpha_star(1e-300)  # below the float spacing at the bracket
-        with pytest.raises(ValueError):
-            alpha_star(1e-2)
+        assert abs(alpha_star_equation(alpha_star())) < 1e-12
 
     def test_bracket_failure_guard(self):
         with pytest.raises(BracketFailure):

@@ -190,6 +190,23 @@ class TestBruteForce:
                 for i in local:
                     assert np.min(np.abs(candidates - grid[i])) <= 2.0 * step
 
+    @pytest.mark.parametrize(
+        "ct",
+        [
+            triangle_from_sides(3, 4, 5),
+            triangle_from_angles(math.radians(20), math.radians(35)),
+            triangle_from_angles(0.6, 0.5 * math.pi - 0.6 + 1e-12),
+            triangle_from_angles(0.6, 0.5 * math.pi - 0.6 - 1e-12),
+        ],
+        ids=["right-345", "obtuse", "gamma-below-right", "gamma-above-right"],
+    )
+    def test_right_and_obtuse_input(self, ct):
+        # a right or obtuse angle A has no kink pi - 2A in (0, pi)
+        assert abs(ct.gamma - 0.5 * math.pi) <= 1e-12 or ct.gamma > 0.6 * math.pi
+        candidates = _candidate_apex_angles(_shape_frame(_vertex_array([ct.tri]))[1])
+        assert np.all((candidates > 0.0) & (candidates < math.pi))
+        assert abs(verify_triangle(ct).relative_gap) <= 1e-9
+
     def test_deterministic(self, t345):
         r1 = brute_force_min_isosceles(t345.tri)
         r2 = brute_force_min_isosceles(t345.tri)
