@@ -61,12 +61,14 @@ def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray
 
 
 
-def _shape_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shape_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For triangles with vertices `v` (N, 3, 2): centred copies scaled to
     unit size, their interior angles and the direction angles of the outward
-    normals of their sides, both (N, 3)."""
+    normals of their sides, both (N, 3), and the scale factors (N,) that
+    take each copy back to its triangle's size."""
     p = _centred(v)[1]
-    p /= np.abs(p).max(axis=(1, 2), keepdims=True)
+    scale = np.abs(p).max(axis=(1, 2), keepdims=True)
+    p /= scale
     ahead = p[:, [1, 2, 0]] - p
     behind = p[:, [2, 0, 1]] - p
     cross = ahead[..., 0] * behind[..., 1] - ahead[..., 1] * behind[..., 0]
@@ -75,7 +77,7 @@ def _shape_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # side k runs from vertex k to k + 1; its outward normal is a quarter
     # turn clockwise from it when the vertices wind counter-clockwise
     normals = np.arctan2(ahead[..., 1], ahead[..., 0]) - np.copysign(0.5 * math.pi, cross[:, :1])
-    return p, angles, normals
+    return p, angles, normals, scale.ravel()
 
 
 def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
@@ -153,14 +155,17 @@ def _container_areas(p: np.ndarray, deltas: np.ndarray, psis: np.ndarray) -> np.
     return np.tan(0.5 * delta) * height * height
 
 
-def best_shapes(triangles: Sequence[Triangle]) -> tuple[list[float], list[float]]:
-    """The apex angle and the rotation of the least-area flush container of
-    each of `triangles`, from one array pass with a per-row argmin."""
-    p, angles, normals = _shape_frame(_vertex_array(triangles))
+def best_shapes(triangles: Sequence[Triangle]) -> tuple[list[float], list[float], list[float]]:
+    """The apex angle, the rotation and the area of the least-area flush
+    container of each of `triangles`, from one array pass with a per-row
+    argmin.  The area is the value the argmin picked on the unit-size copy,
+    times the scale squared."""
+    p, angles, normals, scale = _shape_frame(_vertex_array(triangles))
     deltas = _candidate_apex_angles(angles)
     psis = _flush_rotations(normals, deltas)
-    best = np.argmin(_container_areas(p, deltas, psis).reshape(len(triangles), -1), axis=1)
+    areas = _container_areas(p, deltas, psis).reshape(len(triangles), -1)
+    best = np.argmin(areas, axis=1)
     rows = np.arange(len(triangles))
     apex_angles = deltas[rows, best // psis.shape[-1]].tolist()
     rotations = psis.reshape(len(triangles), -1)[rows, best].tolist()
-    return apex_angles, rotations
+    return apex_angles, rotations, (areas[rows, best] * scale * scale).tolist()

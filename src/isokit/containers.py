@@ -1,18 +1,18 @@
 """The nine named isosceles containers of a scalene triangle.
 
-Each construction keeps two vertices of the input triangle ABC bitwise
-intact and replaces the third, so "shares a side" is testable with exact
-equality.  All constructions work in the input's own coordinate frame.
+A minimum container keeps a side PQ of the input triangle ABC and the angle
+at P (Kiss, Pach & Somlai).  So every special container is the triangle PQX
+with X = P + s*(R - P) on the ray from P through the third vertex R, and its
+area is exactly s times the input's: the ratio is s.  P and Q keep their
+input slots bitwise intact and X takes R's slot, so "shares a side" is
+testable with exact equality.  All constructions work in the input's own
+coordinate frame.  s depends only on where the apex is:
 
-First kind   AB'C, ABC', ABC''   extend one side along a ray from a shared
-                                 vertex until two sides are equal.
-Second kind  AB1C, ABC1, ABC2    reflect a vertex across the foot of a
-                                 perpendicular so the legs through the
-                                 opposite vertex become equal.
-Third kind   AbarBC, ABbarC,     the new vertex lies on the perpendicular
-             ABCbar              bisector of a side of ABC; the two variants
-                                 replacing A or B exist only when the
-                                 largest angle is acute.
+First kind   AB'C, ABC', ABC''   apex P, |PX| = |PQ|:  s = |PQ| / |PR|
+Second kind  AB1C, ABC1, ABC2    apex Q, |QX| = |QP|:  s = 2 (Q-P).(R-P) / |PR|^2
+Third kind   AbarBC, ABbarC,     apex X, |XP| = |XQ|:  s = |PQ|^2 / (2 (Q-P).(R-P));
+             ABCbar              the two variants replacing A or B exist only
+                                 when the largest angle is acute.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .geo import (
     ShapeClass,
     Tolerances,
     Triangle,
-    area,
 )
 
 __all__ = [
@@ -65,18 +64,32 @@ class ContainerVariant(Enum):
     THIRD_AB_CBAR = "ABCbar"
 
 
-# slot of the replaced vertex in the container's (A, B, C) labeling, and the
+# the slots of P, Q and R in the input's (A, B, C) labeling: the container
+# is PQX, with X on the ray from P through R, in R's slot
+_RAYS = {
+    ContainerVariant.FIRST_AB_PRIME_C: (Kind.FIRST, (2, 0, 1)),
+    ContainerVariant.FIRST_ABC_PRIME: (Kind.FIRST, (0, 1, 2)),
+    ContainerVariant.FIRST_ABC_DOUBLE_PRIME: (Kind.FIRST, (1, 0, 2)),
+    ContainerVariant.SECOND_AB1_C: (Kind.SECOND, (0, 2, 1)),
+    ContainerVariant.SECOND_ABC1: (Kind.SECOND, (0, 1, 2)),
+    ContainerVariant.SECOND_ABC2: (Kind.SECOND, (1, 0, 2)),
+    ContainerVariant.THIRD_ABAR_BC: (Kind.THIRD, (2, 1, 0)),
+    ContainerVariant.THIRD_A_BBAR_C: (Kind.THIRD, (2, 0, 1)),
+    ContainerVariant.THIRD_AB_CBAR: (Kind.THIRD, (1, 0, 2)),
+}
+_KINDS = {kind: [v for v, (k, _) in _RAYS.items() if k is kind] for kind in Kind}
+
 # display label of the new auxiliary point (Unicode, for figures)
 _NEW_VERTEX = {
-    ContainerVariant.FIRST_AB_PRIME_C: (1, "B′"),
-    ContainerVariant.FIRST_ABC_PRIME: (2, "C′"),
-    ContainerVariant.FIRST_ABC_DOUBLE_PRIME: (2, "C″"),
-    ContainerVariant.SECOND_AB1_C: (1, "B₁"),
-    ContainerVariant.SECOND_ABC1: (2, "C₁"),
-    ContainerVariant.SECOND_ABC2: (2, "C₂"),
-    ContainerVariant.THIRD_ABAR_BC: (0, "Ā"),
-    ContainerVariant.THIRD_A_BBAR_C: (1, "B̄"),
-    ContainerVariant.THIRD_AB_CBAR: (2, "C̄"),
+    ContainerVariant.FIRST_AB_PRIME_C: "B′",
+    ContainerVariant.FIRST_ABC_PRIME: "C′",
+    ContainerVariant.FIRST_ABC_DOUBLE_PRIME: "C″",
+    ContainerVariant.SECOND_AB1_C: "B₁",
+    ContainerVariant.SECOND_ABC1: "C₁",
+    ContainerVariant.SECOND_ABC2: "C₂",
+    ContainerVariant.THIRD_ABAR_BC: "Ā",
+    ContainerVariant.THIRD_A_BBAR_C: "B̄",
+    ContainerVariant.THIRD_AB_CBAR: "C̄",
 }
 
 
@@ -105,11 +118,11 @@ class SpecialContainer:
 
     @property
     def new_vertex(self) -> Point:
-        return self.tri.vertices[_NEW_VERTEX[self.variant][0]]
+        return self.tri.vertices[_RAYS[self.variant][1][2]]
 
     @property
     def new_vertex_label(self) -> str:
-        return _NEW_VERTEX[self.variant][1]
+        return _NEW_VERTEX[self.variant]
 
 
 def _require_scalene(ct: CanonicalTriangle) -> None:
@@ -119,56 +132,39 @@ def _require_scalene(ct: CanonicalTriangle) -> None:
         )
 
 
-def _along(origin: Point, towards: Point, length: float, base_length: float) -> Point:
-    """Point on the ray origin->towards at the given distance from origin."""
-    s = length / base_length
-    return Point(origin.x + (towards.x - origin.x) * s, origin.y + (towards.y - origin.y) * s)
+def _container(ct: CanonicalTriangle, variant: ContainerVariant) -> SpecialContainer:
+    """The container PQX of `variant`, X = P + s*(R - P), with ratio s."""
+    kind, (p, q, r) = _RAYS[variant]
+    vertices = list(ct.tri.vertices)
+    P, Q, R = vertices[p], vertices[q], vertices[r]
+    # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
+    sides = (ct.a, ct.b, ct.c)
+    ex, ey = R.x - P.x, R.y - P.y
+    if kind is Kind.FIRST:
+        s = sides[r] / sides[q]
+    else:
+        dot = (Q.x - P.x) * ex + (Q.y - P.y) * ey
+        if kind is Kind.SECOND:
+            s = 2.0 * dot / (ex * ex + ey * ey)
+        else:
+            s = sides[r] * sides[r] / (2.0 * dot)
+    vertices[r] = Point(P.x + ex * s, P.y + ey * s)
+    return SpecialContainer(variant, kind, Triangle(*vertices), area=s * ct.area, ratio=s)
 
 
-def _make(variant: ContainerVariant, kind: Kind, tri: Triangle, ref_area: float) -> SpecialContainer:
-    ar = area(tri)
-    return SpecialContainer(variant=variant, kind=kind, tri=tri, area=ar, ratio=ar / ref_area)
+def _build(ct: CanonicalTriangle, variants: list[ContainerVariant]) -> list[SpecialContainer]:
+    _require_scalene(ct)
+    return [_container(ct, v) for v in variants]
 
 
 def first_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three first-kind containers; area ratios are b/a, c/b, c/a."""
-    _require_scalene(ct)
-    A, B, C = ct.tri.vertices
-    # B' on ray CB with |B'C| = b;  C' on ray AC with |AC'| = c;
-    # C'' on ray BC with |BC''| = c
-    b_prime = _along(C, B, ct.b, ct.a)
-    c_prime = _along(A, C, ct.c, ct.b)
-    c_dprime = _along(B, C, ct.c, ct.a)
-    return [
-        _make(ContainerVariant.FIRST_AB_PRIME_C, Kind.FIRST, Triangle(A, b_prime, C), ct.area),
-        _make(ContainerVariant.FIRST_ABC_PRIME, Kind.FIRST, Triangle(A, B, c_prime), ct.area),
-        _make(ContainerVariant.FIRST_ABC_DOUBLE_PRIME, Kind.FIRST, Triangle(A, B, c_dprime), ct.area),
-    ]
-
-
-def _reflect_across_foot(apex: Point, base0: Point, base1: Point) -> Point:
-    """Reflect base0 across the foot of the perpendicular from apex to the
-    line base0-base1; the result is the second point on that line equidistant
-    from apex."""
-    ex, ey = base1.x - base0.x, base1.y - base0.y
-    t = ((apex.x - base0.x) * ex + (apex.y - base0.y) * ey) / (ex * ex + ey * ey)
-    return Point(base0.x + 2.0 * t * ex, base0.y + 2.0 * t * ey)
+    return _build(ct, _KINDS[Kind.FIRST])
 
 
 def second_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three second-kind containers; AB1C has ratio 2*b*cos(alpha)/c."""
-    _require_scalene(ct)
-    A, B, C = ct.tri.vertices
-    # B1 on ray AB with |B1C| = b, B1 != A; C1 on ray AC with |BC1| = c,
-    # C1 != A; C2 on ray BC with |AC2| = c, C2 != B
-    b1 = _reflect_across_foot(C, A, B)
-    c1 = _reflect_across_foot(B, A, C)
-    c2 = _reflect_across_foot(A, B, C)
-    return [
-        _make(ContainerVariant.SECOND_AB1_C, Kind.SECOND, Triangle(A, b1, C), ct.area),
-        _make(ContainerVariant.SECOND_ABC1, Kind.SECOND, Triangle(A, B, c1), ct.area),
-        _make(ContainerVariant.SECOND_ABC2, Kind.SECOND, Triangle(A, B, c2), ct.area),
-    ]
+    return _build(ct, _KINDS[Kind.SECOND])
 
 
 def third_kind(
@@ -181,32 +177,17 @@ def third_kind(
     infinity, so within `tol.eps_angle` of the right angle they are excluded
     and a `NearRightAngleWarning` flags the tolerance sensitivity.
     """
-    _require_scalene(ct)
-    A, B, C = ct.tri.vertices
-    a, b, c = ct.a, ct.b, ct.c
-    cos_beta = (a * a + c * c - b * b) / (2.0 * a * c)
-    cos_gamma = (a * a + b * b - c * c) / (2.0 * a * b)
-
-    # C^ on line BC, equidistant from A and B; exists for every scalene input
-    c_bar = _along(B, C, c / (2.0 * cos_beta), a)
-    out = []
-    near_right = abs(ct.gamma - 0.5 * math.pi) < tol.eps_angle
-    if near_right:
+    variants = _KINDS[Kind.THIRD]
+    if not ct.gamma < 0.5 * math.pi - tol.eps_angle:
+        variants = variants[2:]  # ABCbar alone
+    out = _build(ct, variants)
+    if abs(ct.gamma - 0.5 * math.pi) < tol.eps_angle:
         warnings.warn(
             "largest angle is within tolerance of 90 degrees; the containers "
             "replacing A or B are excluded but numerically unstable nearby",
             NearRightAngleWarning,
             stacklevel=2,
         )
-    if ct.gamma < 0.5 * math.pi - tol.eps_angle:
-        # A^ on line AC equidistant from B and C; B^ on line BC equidistant
-        # from A and C.  Both land beyond the shared vertex (signed parameter
-        # is negative), which is what makes the containment work.
-        a_bar = _along(A, C, (b * b - c * c) / (2.0 * a * cos_gamma), b)
-        b_bar = _along(B, C, (a * a - c * c) / (2.0 * b * cos_gamma), a)
-        out.append(_make(ContainerVariant.THIRD_ABAR_BC, Kind.THIRD, Triangle(a_bar, B, C), ct.area))
-        out.append(_make(ContainerVariant.THIRD_A_BBAR_C, Kind.THIRD, Triangle(A, b_bar, C), ct.area))
-    out.append(_make(ContainerVariant.THIRD_AB_CBAR, Kind.THIRD, Triangle(A, B, c_bar), ct.area))
     return out
 
 

@@ -102,11 +102,11 @@ def minimum_isosceles_container(
     fk = first_kind(ct)
     ab1c = second_kind(ct)[0]
     candidates = (fk[0], fk[1], ab1c)  # AB'C, ABC', AB1C
-    min_area = min(c.area for c in candidates)
-    minimizers = tuple(c for c in candidates if c.area <= min_area * (1.0 + tol.eps_tie))
+    min_ratio = min(c.ratio for c in candidates)
+    minimizers = tuple(c for c in candidates if c.ratio <= min_ratio * (1.0 + tol.eps_tie))
     return MinimizerResult(
-        min_area=min_area,
-        min_ratio=min_area / ct.area,
+        min_area=min_ratio * ct.area,
+        min_ratio=min_ratio,
         minimizers=minimizers,
         candidates=candidates,
     )

@@ -13,6 +13,7 @@ removes translation and scale analytically and leaves a 2D search, which
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -154,7 +155,8 @@ def brute_force_min_isosceles_batch(
 
     All triangles go through one array pass, each on its own centred,
     unit-size copy and with its own argmin, so a result does not depend on
-    the rest of the batch; the witness is built on the triangle itself.
+    the rest of the batch.  `min_area` is the least area the search found
+    on that copy, scaled back; the witness is built on the triangle itself.
     Every triangle is checked before the search.  Deterministic: ties go to
     the first candidate.
     """
@@ -167,10 +169,10 @@ def brute_force_min_isosceles_batch(
     from ._search import best_shapes
 
     results = []
-    for t, apex_angle, rotation in zip(triangles, *best_shapes(triangles)):
+    for t, apex_angle, rotation, min_area in zip(triangles, *best_shapes(triangles)):
         params = ShapeParams(apex_angle=apex_angle, rotation=rotation)
         witness = min_triangle_for_shape(t, params, tol)
-        results.append(OracleResult(min_area=area(witness), witness=witness, params=params))
+        results.append(OracleResult(min_area=min_area, witness=witness, params=params))
     return results
 
 
@@ -295,29 +297,26 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     )
     eps = _EPS_GEOM * scale
 
-    segs = [(w[i], w[(i + 1) % 3]) for i in range(3)]
-    vertices_on_boundary = all(
-        min(_seg_distance(p, *seg) for seg in segs) <= eps for p in ins
-    )
-    sides_touch = all(min(_seg_distance(p, *seg) for p in ins) <= eps for seg in segs)
-
-    # midpoint arcs: arc_j bends around witness vertex j, from the midpoint
-    # of the preceding side to the midpoint of the following side
+    # whether each input vertex lies within eps of each half of each witness
+    # side: half 2i runs from witness vertex i to the midpoint of side i,
+    # half 2i + 1 from there on to vertex i + 1
     mids = [
         ((w[i][0] + w[(i + 1) % 3][0]) / 2.0, (w[i][1] + w[(i + 1) % 3][1]) / 2.0)
         for i in range(3)
     ]
-    arcs = [
-        ((mids[(j + 2) % 3], w[j]), (w[j], mids[j]))
-        for j in range(3)
-    ]
-    membership = [
-        [min(_seg_distance(p, *piece) for piece in arc) <= eps for arc in arcs]
-        for p in ins
-    ]
+    halves = [half for i in range(3) for half in ((w[i], mids[i]), (mids[i], w[(i + 1) % 3]))]
+    near = [[_seg_distance(p, *half) <= eps for half in halves] for p in ins]
+
+    on_side = [[row[2 * i] or row[2 * i + 1] for i in range(3)] for row in near]
+    vertices_on_boundary = all(any(row) for row in on_side)
+    sides_touch = all(any(row[i] for row in on_side) for i in range(3))
+
+    # midpoint arcs: arc j bends around witness vertex j, from the midpoint
+    # of the preceding side to the midpoint of the following side
+    on_arc = [[row[2 * j - 1] or row[2 * j] for j in range(3)] for row in near]
     one_per_arc = any(
-        membership[0][p0] and membership[1][p1] and membership[2][p2]
-        for p0, p1, p2 in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+        on_arc[0][p0] and on_arc[1][p1] and on_arc[2][p2]
+        for p0, p1, p2 in itertools.permutations(range(3))
     )
 
     shared_pairs = [

@@ -7,10 +7,14 @@ which may differ in the last bits between builds.  Warnings are recorded as
 
 To re-capture after a deliberate output change:
     PYTHONPATH=src python tests/test_cli_golden.py
+It prints each case that changed, the fields that moved and, for each
+written file, the largest relative change of any number in it.
 """
 
 import json
+import math
 import os
+import re
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -113,11 +117,44 @@ def test_golden_file_covers_every_case():
     assert sorted(_expected()) == sorted(" ".join(argv) for argv in CASES)
 
 
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def largest_relative_change(old: str, new: str) -> float:
+    """The largest relative change between the numbers of two texts; inf
+    when they differ anywhere else, or in how many numbers they hold."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
+        if x != y:
+            worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+    return worst
+
+
+def report_changes(old: dict, results: list[dict]) -> None:
+    for new in results:
+        was = old.get(" ".join(new["argv"]))
+        if was is None:
+            print(f"new: {' '.join(new['argv'])}", file=sys.stderr)
+            continue
+        if was == new:
+            continue
+        moved = [k for k in new if k != "files" and new[k] != was[k]]
+        for name in sorted(set(new["files"]) | set(was["files"])):
+            a, b = was["files"].get(name), new["files"].get(name)
+            if a != b:
+                change = math.inf if a is None or b is None else largest_relative_change(a, b)
+                moved.append(f"{name} (largest relative change {change:.2g})")
+        print(f"changed: {' '.join(new['argv'])}: {', '.join(moved)}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         results = [run_case(argv, Path(tmp)) for argv in CASES]
+    report_changes(_expected() if GOLDEN.exists() else {}, results)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(results)} cases to {GOLDEN}", file=sys.stderr)

@@ -175,7 +175,7 @@ class TestBruteForce:
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             tri = triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
-            p, angles, normals = _shape_frame(_vertex_array([tri]))
+            p, angles, normals, _ = _shape_frame(_vertex_array([tri]))
             candidates = _candidate_apex_angles(angles)[0]
             deltas = grid[None, :]
             flush = _container_areas(p, deltas, _flush_rotations(normals, deltas))[0]
