@@ -15,6 +15,8 @@ import numpy as np
 
 from .geo import Triangle
 
+_TWO_PI = 2.0 * math.pi
+
 
 def _vertex_array(triangles: Sequence[Triangle]) -> np.ndarray:
     """The vertices of `triangles` as an (N, 3, 2) array."""
@@ -80,6 +82,48 @@ def _shape_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return p, angles, normals, scale.ravel()
 
 
+def _stationary_apex_angles(a: float) -> list[float]:
+    """The apex angles in (0, pi) at which the two leg-flush families of an
+    input angle `a` can be stationary (see `_candidate_apex_angles`)."""
+    k = 1.0 / math.tan(a)
+    # the roots of t^3 - k t^2 + 3t + k change sign with k, so solve for
+    # kk = |k| >= 0 and flip them back
+    kk = abs(k)
+    # as s^3 + p s + q with t = s + kk/3; the discriminant over -108 is
+    # d = q^2/4 + p^3/27, written without the cancelling kk^6 terms
+    p = 3.0 - kk * kk / 3.0
+    q = 2.0 * kk * (1.0 - kk * kk / 27.0)
+    d = (27.0 + kk * kk * (18.0 - kk * kk)) / 27.0
+    if d < 0.0:
+        # three real roots: the largest in trigonometric form, then the two
+        # of t^2 + b t + c that are left after dividing it out (for a needle
+        # the trigonometric form loses the roots near +-1 beside cot A)
+        theta = math.acos(max(-1.0, min(1.0, 1.5 * q / p * math.sqrt(-3.0 / p)))) / 3.0
+        r = _polished_root(kk, 2.0 * math.sqrt(-p / 3.0) * math.cos(theta) + kk / 3.0)
+        c = -kk / r
+        b = (c - 3.0) / r
+        h = -0.5 * (b + math.copysign(math.sqrt(max(0.0, b * b - 4.0 * c)), b))
+        ts = [r, _polished_root(kk, h), _polished_root(kk, c / h)]
+    else:
+        # Cardano's real root; the complex pair is kept by its real part
+        w = -0.5 * q - math.copysign(math.sqrt(d), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        r = _polished_root(kk, u - p / (3.0 * u) + kk / 3.0)
+        ts = [r, 0.5 * (kk - r)]  # the roots sum to kk
+    deltas = [2.0 * math.atan(t) for t in (math.copysign(1.0, k) * t for t in ts) if t > 0.0]
+    # the quartic's roots solve sin(2 delta + a) = 3 sin(a); past its double
+    # root at 3 sin(a) = 1 both become the double root's apex angle
+    phi = math.asin(min(1.0, 3.0 * math.sin(a)))
+    deltas += [0.5 * ((phi - a) % _TWO_PI), 0.5 * ((math.pi - phi - a) % _TWO_PI)]
+    return [delta for delta in deltas if 0.0 < delta < math.pi]
+
+
+def _polished_root(k: float, t: float) -> float:
+    """`t` after one Newton step on t^3 - k t^2 + 3t + k."""
+    df = (3.0 * t - 2.0 * k) * t + 3.0
+    return t - (((t - k) * t + 3.0) * t + k) / df if df else t
+
+
 def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     """Every apex angle at which a flush container's area, as a function of
     the apex angle, can have a local minimum, for triangles with interior
@@ -95,40 +139,29 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
       - apex on P, base through R: area ~ (k + t)^2 t / (1 + t^2), stationary
         where t^3 - k t^2 + 3t + k = 0;
       - base vertex on P, other leg through R: stationary where
-        t^4 + 2k t^3 + 6t^2 - 2k t + 1 = 0 (sin(2 delta + A) = 3 sin A);
+        t^4 + 2k t^3 + 6t^2 - 2k t + 1 = 0, that is sin(2 delta + A) = 3 sin A;
       - both free sides through R: area ~ 1/sin(delta), least at pi/2;
       - free sides through P and Q: area ~ sin(delta), least on a kink.
-    Extra candidates are harmless (each is a valid container), so every
-    root's real part is kept.
+    The cubic's roots come from the trigonometric or Cardano formula, the
+    real ones polished by one Newton step, and the quartic's from arcsin.
+    Extra candidates are harmless (each is a valid container), so none is
+    lost where rounding turns a double root into a complex pair: the cubic
+    keeps the pair's real part, and the quartic clamps 3 sin A at 1.
 
-    Each row lists the kinks, pi/2 and then the roots in a fixed order, all
-    in (0, pi).  A kink pi - 2A of a right or obtuse angle A is not positive
-    and becomes pi/2.  A root slot that is positive in no row is dropped, so
-    a batch of one keeps exactly its positive roots; in another row a
-    non-positive root becomes pi/2.  Either way the pi/2 repeats an earlier
-    candidate and so never wins a first-index argmin.
+    Each row lists the three input angles, their kinks pi - 2A, pi/2 and
+    then the roots' apex angles in (0, pi), angle by angle.  A kink of a
+    right or obtuse angle is not positive and becomes pi/2, and rows with
+    fewer roots are padded with pi/2 to the widest row.  Either way the
+    pi/2 repeats an earlier candidate and so never wins a first-index
+    argmin.  Rows are built one at a time in scalar arithmetic, so only a
+    row's padding depends on its batch.
     """
-    k = 1.0 / np.tan(angles)
-    zero, one = np.zeros_like(k), np.ones_like(k)
-    # monic quartics t^4 + c3 t^3 + c2 t^2 + c1 t + c0 (the cubic times t),
-    # the three cubics of a triangle before its three quartics
-    coeffs = np.concatenate(
-        [np.stack([-k, 3.0 * one, k, zero], axis=-1), np.stack([2.0 * k, 6.0 * one, -2.0 * k, one], axis=-1)],
-        axis=1,
-    )
-    companion = np.zeros(coeffs.shape + (4,))
-    companion[..., 0, :] = -coeffs
-    companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
-    roots = np.linalg.eigvals(companion).real.reshape(len(k), -1)
-    positive = roots > 0.0
-    used = positive.any(axis=0)
-    roots, positive = roots[:, used], positive[:, used]
-    quarter = np.full((len(k), 1), 0.5 * math.pi)
-    kinks = math.pi - 2.0 * angles
-    return np.concatenate(
-        [angles, np.where(kinks > 0.0, kinks, quarter), quarter, np.where(positive, 2.0 * np.arctan(roots), quarter)],
-        axis=1,
-    )
+    rows = []
+    for row in angles.tolist():
+        kinks = [math.pi - 2.0 * a if a < 0.5 * math.pi else 0.5 * math.pi for a in row]
+        rows.append(row + kinks + [0.5 * math.pi] + [d for a in row for d in _stationary_apex_angles(a)])
+    width = max(map(len, rows))
+    return np.array([r + [0.5 * math.pi] * (width - len(r)) for r in rows])
 
 
 def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:

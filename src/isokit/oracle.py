@@ -149,7 +149,7 @@ def brute_force_min_isosceles_batch(
     flush with a side of the input.
 
     Apex angle: the flush containers' areas are smooth between closed-form
-    kinks, with closed-form or polynomial stationary points (see
+    kinks, with closed-form stationary points (see
     `_search._candidate_apex_angles`).  The minimum is at one of those apex angles,
     each evaluated at all nine flush rotations.
 

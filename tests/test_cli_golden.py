@@ -1,9 +1,10 @@
 """Byte-exact CLI output: stdout, stderr, exit code and the --out file of
 each case in tests/data/cli_golden.json.
 
-`verify` runs are left out: their gap digits come from numpy's `eigvals`,
-which may differ in the last bits between builds.  Warnings are recorded as
-"Category: message" lines, since their printed form carries source paths.
+`verify` runs are left out: their gap digits come from numpy's elementwise
+sin, cos and tan, which may differ in the last bits between builds.
+Warnings are recorded as "Category: message" lines, since their printed
+form carries source paths.
 
 To re-capture after a deliberate output change:
     PYTHONPATH=src python tests/test_cli_golden.py

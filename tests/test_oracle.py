@@ -197,8 +197,10 @@ class TestBruteForce:
             triangle_from_angles(math.radians(20), math.radians(35)),
             triangle_from_angles(0.6, 0.5 * math.pi - 0.6 + 1e-12),
             triangle_from_angles(0.6, 0.5 * math.pi - 0.6 - 1e-12),
+            # 3 sin(gamma) <= 1: the arcsin roots of gamma must wrap into (0, pi)
+            triangle_from_angles(math.radians(6.381), math.radians(9.700)),
         ],
-        ids=["right-345", "obtuse", "gamma-below-right", "gamma-above-right"],
+        ids=["right-345", "obtuse", "gamma-below-right", "gamma-above-right", "obtuse-needle"],
     )
     def test_right_and_obtuse_input(self, ct):
         # a right or obtuse angle A has no kink pi - 2A in (0, pi)
@@ -206,6 +208,49 @@ class TestBruteForce:
         candidates = _candidate_apex_angles(_shape_frame(_vertex_array([ct.tri]))[1])
         assert np.all((candidates > 0.0) & (candidates < math.pi))
         assert abs(verify_triangle(ct).relative_gap) <= 1e-9
+
+    def test_candidates_match_polynomial_roots(self):
+        # the closed-form roots against numpy's companion-matrix eigenvalues,
+        # as np.roots computes them: every real positive root t of either
+        # polynomial of an input angle must have a candidate apex angle
+        # within 1e-7 rad of 2 atan(t).
+        # Besides the sweep: the quartic's double roots (3 sin A = 1), the
+        # cubic's (cot(A)^2 = 9 + sqrt(108)), an angle just past the cubic's
+        # where its pair is complex but within the cut, the right angle and
+        # needle angles, where the cubic's roots are about cot(A) and +-1.
+        sweep = np.linspace(1e-6, math.pi - 1e-6, 20001)
+        cubic_double = math.atan(1.0 / math.sqrt(9.0 + math.sqrt(108.0)))
+        quartic_double = math.asin(1.0 / 3.0)
+        special = [quartic_double, math.pi - quartic_double, cubic_double, math.pi - cubic_double]
+        special += [cubic_double * (1.0 + 1e-15), 0.5 * math.pi, 1e-12, math.pi - 1e-12]
+        angles = np.concatenate([sweep, special])
+        # one input angle per row
+        candidates = _candidate_apex_angles(angles[:, None])
+        assert np.all((candidates > 0.0) & (candidates < math.pi))
+
+        k = 1.0 / np.tan(angles)
+        one = np.ones_like(k)
+        for coeffs in (np.stack([-k, 3 * one, k], axis=-1), np.stack([2 * k, 6 * one, -2 * k, one], axis=-1)):
+            n = coeffs.shape[-1]
+            companion = np.zeros((len(k), n, n))
+            companion[:, 0, :] = -coeffs
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            roots = np.linalg.eigvals(companion)
+            real = (np.abs(roots.imag) <= 1e-7 * np.abs(roots)) & (roots.real > 0.0)
+            deltas = np.where(real, 2.0 * np.arctan(roots.real), np.nan)
+            gaps = np.abs(candidates[:, None, :] - deltas[:, :, None]).min(axis=2)
+            assert real.any()
+            assert np.all(np.isnan(deltas) | (gaps <= 1e-7))
+
+    def test_needle_cubic_roots(self):
+        # for a needle angle A the cubic's roots are about cot A and +-1;
+        # the small ones must keep their digits beside cot A
+        for a in (1e-6, 3e-7, 1e-7):
+            k = 1.0 / math.tan(a)
+            candidates = _candidate_apex_angles(np.array([[a]]))[0]
+            for t in np.roots([1.0, -k, 3.0, k]).real:
+                if t > 0.0:
+                    assert np.min(np.abs(candidates - 2.0 * math.atan(t))) <= 1e-12
 
     def test_deterministic(self, t345):
         r1 = brute_force_min_isosceles(t345.tri)
