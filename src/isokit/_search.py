@@ -1,5 +1,8 @@
 """The oracle's array search: the flush containers of a batch of triangles,
-evaluated in one numpy pass (see `oracle.brute_force_min_isosceles_batch`).
+evaluated in numpy passes over fixed-size blocks of rows (see
+`oracle.brute_force_min_isosceles_batch`).  Each row's least-area container
+comes back with the support values it was built from, so the oracle builds
+its witness from the search's own numbers, without a second pass.
 
 This is the only isokit module that imports numpy when it loads.  `oracle`
 imports it on its first search, so `import isokit` and the closed-form
@@ -17,22 +20,12 @@ from .geo import Triangle
 
 _TWO_PI = 2.0 * math.pi
 
+# rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays
+_BLOCK_ROWS = 512
 
-def _vertex_array(triangles: Sequence[Triangle]) -> np.ndarray:
-    """The vertices of `triangles` as an (N, 3, 2) array."""
-    return np.array([[(v.x, v.y) for v in t.vertices] for t in triangles], dtype=float)
-
-
-def _centred(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centroids, shape (N, 1, 2), of the triangles `v` (N, 3, 2) and their
-    vertices relative to them.
-
-    A container's height and vertices come from sums and differences of
-    support values, which lose the digits of a large offset; about the
-    centroid they keep full precision relative to the triangle's size.
-    """
-    c = v.sum(axis=1, keepdims=True) / 3.0
-    return c, v - c
+# (apex angle, rotation, area, (h1, h2, hb), (cx, cy)) of one triangle's
+# least-area flush container; see `best_shapes`
+Shape = tuple[float, float, float, tuple[float, float, float], tuple[float, float]]
 
 
 def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,23 +56,45 @@ def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray
 
 
 
-def _shape_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For triangles with vertices `v` (N, 3, 2): centred copies scaled to
-    unit size, their interior angles and the direction angles of the outward
-    normals of their sides, both (N, 3), and the scale factors (N,) that
-    take each copy back to its triangle's size."""
-    p = _centred(v)[1]
-    scale = np.abs(p).max(axis=(1, 2), keepdims=True)
-    p /= scale
-    ahead = p[:, [1, 2, 0]] - p
-    behind = p[:, [2, 0, 1]] - p
-    cross = ahead[..., 0] * behind[..., 1] - ahead[..., 1] * behind[..., 0]
-    # atan2 of (|cross|, dot) keeps needle angles accurate
-    angles = np.arctan2(np.abs(cross), np.sum(ahead * behind, axis=2))
-    # side k runs from vertex k to k + 1; its outward normal is a quarter
-    # turn clockwise from it when the vertices wind counter-clockwise
-    normals = np.arctan2(ahead[..., 1], ahead[..., 0]) - np.copysign(0.5 * math.pi, cross[:, :1])
-    return p, angles, normals, scale.ravel()
+def _shape_frame(
+    triangles: Sequence[Triangle],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float, float]]]:
+    """For each of `triangles`: its vertices relative to its centroid,
+    scaled to unit size (N, 3, 2), its interior angles and the direction
+    angles of the outward normals of its sides, both (N, 3), and its frame
+    (cx, cy, s): the centroid and the scale factor that take the copy back
+    to the triangle.
+
+    A container's height and vertices come from sums and differences of
+    support values, which lose the digits of a large offset; about the
+    centroid they keep full precision relative to the triangle's size.
+    Rows are built one at a time in scalar arithmetic, then one
+    `np.arctan2` call gives every row's angles and normals (`math.atan2`
+    differs from it in the last bit on some inputs).
+    """
+    coords, frames, ys, xs, quarter_turns = [], [], [], [], []
+    for t in triangles:
+        (x0, y0), (x1, y1), (x2, y2) = ((v.x, v.y) for v in t.vertices)
+        cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
+        rel = (x0 - cx, y0 - cy, x1 - cx, y1 - cy, x2 - cx, y2 - cy)
+        s = max(map(abs, rel))
+        x0, y0, x1, y1, x2, y2 = (c / s for c in rel)
+        # side k runs from vertex k to k + 1 (a), the other side at vertex k
+        # from there to k + 2 (b)
+        ax, ay = (x1 - x0, x2 - x1, x0 - x2), (y1 - y0, y2 - y1, y0 - y2)
+        bx, by = (x2 - x0, x0 - x1, x1 - x2), (y2 - y0, y0 - y1, y1 - y2)
+        cross = [ax[k] * by[k] - ay[k] * bx[k] for k in range(3)]
+        # the arguments of atan2: (|cross|, dot) for each angle, which keeps
+        # needle angles accurate, then each side's direction
+        ys.append([abs(c) for c in cross] + list(ay))
+        xs.append([ax[k] * bx[k] + ay[k] * by[k] for k in range(3)] + list(ax))
+        # side k's outward normal is a quarter turn clockwise from it when
+        # the vertices wind counter-clockwise
+        quarter_turns.append([math.copysign(0.5 * math.pi, cross[0])])
+        coords.append(((x0, y0), (x1, y1), (x2, y2)))
+        frames.append((cx, cy, s))
+    directions = np.arctan2(ys, xs)
+    return np.array(coords), directions[:, :3], directions[:, 3:] - quarter_turns, frames
 
 
 def _stationary_apex_angles(a: float) -> list[float]:
@@ -177,28 +192,51 @@ def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return psis
 
 
-def _container_areas(p: np.ndarray, deltas: np.ndarray, psis: np.ndarray) -> np.ndarray:
+def _container_areas(
+    p: np.ndarray, deltas: np.ndarray, psis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Areas of the supporting-line containers of the triangles `p` (N, 3, 2)
     for the apex angles `deltas` (N, M) at the rotations `psis` (N, M, K):
-    tan(delta/2) * H^2 with H the apex-to-base height; returns (N, M, K)."""
+    tan(delta/2) * H^2 with H the apex-to-base height.  Returns the areas
+    and the support values (h1, h2, hb) they come from, each (N, M, K)."""
     x, y = (p[..., i].T.reshape(3, len(p), 1, 1) for i in (0, 1))
     delta = deltas[..., None]
     h1, h2, hb = _side_supports(x, y, delta, psis)
     height = (h1 + h2) / (2.0 * np.sin(0.5 * delta)) + hb
-    return np.tan(0.5 * delta) * height * height
+    return np.tan(0.5 * delta) * height * height, h1, h2, hb
 
 
-def best_shapes(triangles: Sequence[Triangle]) -> tuple[list[float], list[float], list[float]]:
-    """The apex angle, the rotation and the area of the least-area flush
-    container of each of `triangles`, from one array pass with a per-row
-    argmin.  The area is the value the argmin picked on the unit-size copy,
-    times the scale squared."""
-    p, angles, normals, scale = _shape_frame(_vertex_array(triangles))
+def _block_best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
+    """`best_shapes` for one block of rows, in one array pass."""
+    p, angles, normals, frames = _shape_frame(triangles)
     deltas = _candidate_apex_angles(angles)
     psis = _flush_rotations(normals, deltas)
-    areas = _container_areas(p, deltas, psis).reshape(len(triangles), -1)
-    best = np.argmin(areas, axis=1)
-    rows = np.arange(len(triangles))
-    apex_angles = deltas[rows, best // psis.shape[-1]].tolist()
-    rotations = psis.reshape(len(triangles), -1)[rows, best].tolist()
-    return apex_angles, rotations, (areas[rows, best] * scale * scale).tolist()
+    areas, h1, h2, hb = _container_areas(p, deltas, psis)
+    n, m, k = psis.shape
+    # each row's argmin plus the row's offset: one index into every
+    # flattened (N, M, K) array, and into deltas after dividing by K
+    flat = areas.reshape(n, -1).argmin(axis=1) + np.arange(0, n * m * k, m * k)
+    picked = (a.take(flat).tolist() for a in (psis, areas, h1, h2, hb))
+    return [
+        (delta, psi, area * s * s, (g1 * s, g2 * s, gb * s), (cx, cy))
+        for delta, psi, area, g1, g2, gb, (cx, cy, s) in zip(deltas.take(flat // k).tolist(), *picked, frames)
+    ]
+
+
+def best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
+    """The least-area flush container of each of `triangles`, as (apex
+    angle, rotation, area, supports, centroid), each row searched on its
+    own centred, unit-size copy with its own argmin.
+
+    The area is the value the argmin picked, times the scale squared.  The
+    supports (h1, h2, hb) are the support values of the triangle about its
+    centroid at the container's leg and base normals, the ones that area
+    came from, scaled back: with the centroid they give the witness
+    (`oracle._witness_vertices`) without a second pass over the triangle.
+    The rows are searched in blocks of `_BLOCK_ROWS`, so a batch's memory
+    does not grow with its length.
+    """
+    shapes: list[Shape] = []
+    for start in range(0, len(triangles), _BLOCK_ROWS):
+        shapes += _block_best_shapes(triangles[start : start + _BLOCK_ROWS])
+    return shapes

@@ -101,22 +101,16 @@ def _check_nondegenerate(t: Triangle, tol: Tolerances) -> None:
         raise DegenerateTriangle("oracle operations need a non-degenerate triangle")
 
 
-def min_triangle_for_shape(
-    t: Triangle, sp: ShapeParams, tol: Tolerances = DEFAULT_TOLERANCES
+def _witness_vertices(
+    centre: tuple[float, float], supports: tuple[float, float, float], sp: ShapeParams
 ) -> Triangle:
-    """Smallest isosceles triangle of the given shape/orientation containing
-    `t`: the triangle bounded by the three supporting lines of `t` at the
-    shape's outward side normals.  Every side touches `t`.
-    """
-    _check_nondegenerate(t, tol)
+    """The isosceles triangle of shape `sp` bounded by the lines at support
+    values `supports` = (h1, h2, hb), measured from `centre`, along the
+    outward normals of its two legs and its base; the apex comes first."""
+    cx, cy = centre
+    h1, h2, hb = supports
     half = 0.5 * sp.apex_angle
     sh, ch = math.sin(half), math.cos(half)
-    # imported on first use, so that `import isokit` does not load numpy
-    from ._search import _centred, _side_supports, _vertex_array
-
-    centre, p = _centred(_vertex_array([t]))
-    cx, cy = centre.ravel().tolist()
-    h1, h2, hb = (float(h) for h in _side_supports(p[0, :, 0], p[0, :, 1], sp.apex_angle, sp.rotation))
     psi = sp.rotation
     ux, uy = math.cos(psi), math.sin(psi)  # axis: base midpoint -> apex
     px, py = -uy, ux
@@ -131,6 +125,22 @@ def min_triangle_for_shape(
         return Point(cx + xi * ux + eta * px, cy + xi * uy + eta * py)
 
     return Triangle(to_point(xi_apex, eta_apex), to_point(xi_base, eta_1), to_point(xi_base, eta_2))
+
+
+def min_triangle_for_shape(
+    t: Triangle, sp: ShapeParams, tol: Tolerances = DEFAULT_TOLERANCES
+) -> Triangle:
+    """Smallest isosceles triangle of the given shape/orientation containing
+    `t`: the triangle bounded by the three supporting lines of `t` at the
+    shape's outward side normals.  Every side touches `t`.
+    """
+    _check_nondegenerate(t, tol)
+    # imported on first use, so that `import isokit` does not load numpy
+    from ._search import _shape_frame, _side_supports
+
+    p, _, _, ((cx, cy, s),) = _shape_frame([t])
+    h = _side_supports(p[0, :, 0], p[0, :, 1], sp.apex_angle, sp.rotation)
+    return _witness_vertices((cx, cy), tuple(float(g) * s for g in h), sp)
 
 
 def brute_force_min_isosceles_batch(
@@ -153,12 +163,14 @@ def brute_force_min_isosceles_batch(
     `_search._candidate_apex_angles`).  The minimum is at one of those apex angles,
     each evaluated at all nine flush rotations.
 
-    All triangles go through one array pass, each on its own centred,
-    unit-size copy and with its own argmin, so a result does not depend on
-    the rest of the batch.  `min_area` is the least area the search found
-    on that copy, scaled back; the witness is built on the triangle itself.
-    Every triangle is checked before the search.  Deterministic: ties go to
-    the first candidate.
+    The triangles go through array passes over fixed-size blocks of rows,
+    each on its own centred, unit-size copy and with its own argmin, so a
+    result does not depend on the rest of the batch.  `min_area` is the
+    least area the search found on that copy, scaled back.  The witness is
+    the container bounded by the support values that area came from, as
+    the search computed them (`min_triangle_for_shape` builds the same
+    triangle from supports it computes itself).  Every triangle is checked
+    before the search.  Deterministic: ties go to the first candidate.
     """
     triangles = list(triangles)
     if not triangles:
@@ -169,9 +181,9 @@ def brute_force_min_isosceles_batch(
     from ._search import best_shapes
 
     results = []
-    for t, apex_angle, rotation, min_area in zip(triangles, *best_shapes(triangles)):
+    for apex_angle, rotation, min_area, supports, centre in best_shapes(triangles):
         params = ShapeParams(apex_angle=apex_angle, rotation=rotation)
-        witness = min_triangle_for_shape(t, params, tol)
+        witness = _witness_vertices(centre, supports, params)
         results.append(OracleResult(min_area=min_area, witness=witness, params=params))
     return results
 
@@ -280,32 +292,45 @@ def can_cover(
 # ---------------------------------------------------------------------------
 
 
-def _seg_distance(p: tuple[float, float], q0: tuple[float, float], q1: tuple[float, float]) -> float:
-    ex, ey = q1[0] - q0[0], q1[1] - q0[1]
-    dx, dy = p[0] - q0[0], p[1] - q0[1]
-    denom = ex * ex + ey * ey
-    s = 0.0 if denom == 0.0 else max(0.0, min(1.0, (dx * ex + dy * ey) / denom))
-    return math.hypot(dx - s * ex, dy - s * ey)
+def _corner(pts: list[tuple[float, float]], k: int) -> tuple[list[tuple[float, float]], float]:
+    """The unit rays from vertex k of `pts` to the other two vertices, and
+    the opening angle between them."""
+    x, y = pts[k]
+    rays = []
+    for ox, oy in (pts[k - 2], pts[k - 1]):
+        dx, dy = ox - x, oy - y
+        ln = math.hypot(dx, dy)
+        rays.append((dx / ln, dy / ln))
+    (ax, ay), (bx, by) = rays
+    return rays, math.acos(max(-1.0, min(1.0, ax * bx + ay * by)))
 
 
 def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     w = [(v.x, v.y) for v in witness.vertices]
     ins = [(v.x, v.y) for v in ct.tri.vertices]
-    scale = max(
-        math.hypot(w[i][0] - w[(i + 1) % 3][0], w[i][1] - w[(i + 1) % 3][1])
-        for i in range(3)
-    )
+    scale = max(math.hypot(w[i][0] - w[i - 2][0], w[i][1] - w[i - 2][1]) for i in range(3))
     eps = _EPS_GEOM * scale
 
     # whether each input vertex lies within eps of each half of each witness
     # side: half 2i runs from witness vertex i to the midpoint of side i,
-    # half 2i + 1 from there on to vertex i + 1
-    mids = [
-        ((w[i][0] + w[(i + 1) % 3][0]) / 2.0, (w[i][1] + w[(i + 1) % 3][1]) / 2.0)
-        for i in range(3)
-    ]
-    halves = [half for i in range(3) for half in ((w[i], mids[i]), (mids[i], w[(i + 1) % 3]))]
-    near = [[_seg_distance(p, *half) <= eps for half in halves] for p in ins]
+    # half 2i + 1 from there on to vertex i + 1.  Each half is kept as its
+    # start, its direction and its squared length.
+    halves = []
+    for i in range(3):
+        (x0, y0), (x1, y1) = w[i], w[i - 2]
+        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        for sx, sy, ex, ey in ((x0, y0, mx - x0, my - y0), (mx, my, x1 - mx, y1 - my)):
+            halves.append((sx, sy, ex, ey, ex * ex + ey * ey))
+    near = []
+    for qx, qy in ins:
+        row = []
+        for sx, sy, ex, ey, denom in halves:
+            # distance to the closest point of the half, s in [0, 1] along it
+            dx, dy = qx - sx, qy - sy
+            along = dx * ex + dy * ey
+            s = 0.0 if along <= 0.0 else 1.0 if along >= denom else along / denom
+            row.append(math.hypot(dx - s * ex, dy - s * ey) <= eps)
+        near.append(row)
 
     on_side = [[row[2 * i] or row[2 * i + 1] for i in range(3)] for row in near]
     vertices_on_boundary = all(any(row) for row in on_side)
@@ -325,32 +350,17 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
         for wj in range(3)
         if math.hypot(ins[vi][0] - w[wj][0], ins[vi][1] - w[wj][1]) <= eps
     ]
-    shared_vertex = bool(shared_pairs)
 
     # shared side + endpoint angle: at a shared vertex, one input side must
     # run along a witness side and the opening angles must agree
-    def rays(pts, k):
-        out = []
-        for other in (pts[(k + 1) % 3], pts[(k + 2) % 3]):
-            dx, dy = other[0] - pts[k][0], other[1] - pts[k][1]
-            ln = math.hypot(dx, dy)
-            out.append((dx / ln, dy / ln))
-        return out
-
+    cos_eps = math.cos(_EPS_GEOM)
     shares = False
     for vi, wj in shared_pairs:
-        r_in = rays(ins, vi)
-        r_w = rays(w, wj)
-        angle_in = math.acos(max(-1.0, min(1.0, r_in[0][0] * r_in[1][0] + r_in[0][1] * r_in[1][1])))
-        angle_w = math.acos(max(-1.0, min(1.0, r_w[0][0] * r_w[1][0] + r_w[0][1] * r_w[1][1])))
-        if abs(angle_in - angle_w) > _EPS_GEOM:
-            continue
-        aligned = any(
-            ri[0] * rw[0] + ri[1] * rw[1] >= math.cos(_EPS_GEOM)
-            for ri in r_in
-            for rw in r_w
-        )
-        if aligned:
+        rays_in, angle_in = _corner(ins, vi)
+        rays_w, angle_w = _corner(w, wj)
+        if abs(angle_in - angle_w) <= _EPS_GEOM and any(
+            ri[0] * rw[0] + ri[1] * rw[1] >= cos_eps for ri in rays_in for rw in rays_w
+        ):
             shares = True
             break
 
@@ -358,7 +368,7 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
         "vertices_on_boundary": vertices_on_boundary,
         "sides_touch": sides_touch,
         "one_per_arc": one_per_arc,
-        "shared_vertex": shared_vertex,
+        "shared_vertex": bool(shared_pairs),
         "shares_side_and_angle": shares,
     }
 

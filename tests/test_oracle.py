@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -30,12 +31,12 @@ from isokit import (
     verify_triangles,
 )
 from isokit import _search
+from isokit.oracle import _witness_flags
 from isokit._search import (
     _candidate_apex_angles,
     _container_areas,
     _flush_rotations,
     _shape_frame,
-    _vertex_array,
 )
 
 
@@ -175,14 +176,14 @@ class TestBruteForce:
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             tri = triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
-            p, angles, normals, _ = _shape_frame(_vertex_array([tri]))
+            p, angles, normals, _ = _shape_frame([tri])
             candidates = _candidate_apex_angles(angles)[0]
             deltas = grid[None, :]
-            flush = _container_areas(p, deltas, _flush_rotations(normals, deltas))[0]
+            flush = _container_areas(p, deltas, _flush_rotations(normals, deltas))[0][0]
             assert flush.shape == (len(grid), 9)
 
             for i in (500, 2000, 3500):
-                dense = _container_areas(p, deltas[:, i : i + 1], rot[None, None, :]).min()
+                dense = _container_areas(p, deltas[:, i : i + 1], rot[None, None, :])[0].min()
                 assert flush[i].min() <= dense * (1.0 + 1e-12)
 
             for f in flush.T:
@@ -205,7 +206,7 @@ class TestBruteForce:
     def test_right_and_obtuse_input(self, ct):
         # a right or obtuse angle A has no kink pi - 2A in (0, pi)
         assert abs(ct.gamma - 0.5 * math.pi) <= 1e-12 or ct.gamma > 0.6 * math.pi
-        candidates = _candidate_apex_angles(_shape_frame(_vertex_array([ct.tri]))[1])
+        candidates = _candidate_apex_angles(_shape_frame([ct.tri])[1])
         assert np.all((candidates > 0.0) & (candidates < math.pi))
         assert abs(verify_triangle(ct).relative_gap) <= 1e-9
 
@@ -414,3 +415,111 @@ class TestBatchAPI:
             verify_triangles([*cts, flat])
         with pytest.raises(DegenerateTriangle):
             verify_triangle(flat)
+
+    def test_one_support_pass_per_block(self, monkeypatch):
+        # the witnesses come from the search's own support values: one
+        # support evaluation per block of rows, none per triangle
+        calls = []
+        side_supports = _search._side_supports
+
+        def spy(*args):
+            calls.append(args)
+            return side_supports(*args)
+
+        monkeypatch.setattr(_search, "_side_supports", spy)
+        tris = [ct.tri for ct in sample_canonical_triangles(seed=29, count=_search._BLOCK_ROWS + 1)]
+        results = brute_force_min_isosceles_batch(tris)
+        assert len(calls) == 2
+        calls.clear()
+        # the second block's row is the one that triangle gets alone
+        assert brute_force_min_isosceles(tris[-1]) == results[-1]
+        assert len(calls) == 1
+
+
+def _seg_distance(p, q0, q1):
+    ex, ey = q1[0] - q0[0], q1[1] - q0[1]
+    dx, dy = p[0] - q0[0], p[1] - q0[1]
+    denom = ex * ex + ey * ey
+    s = 0.0 if denom == 0.0 else max(0.0, min(1.0, (dx * ex + dy * ey) / denom))
+    return math.hypot(dx - s * ex, dy - s * ey)
+
+
+def reference_witness_flags(ct, witness, eps_geom=1e-5):
+    """The witness checks written plainly, one `_seg_distance` call per
+    (input vertex, half side) pair and the rays of every shared pair; the
+    oracle's `_witness_flags` must give the same booleans."""
+    w = [(v.x, v.y) for v in witness.vertices]
+    ins = [(v.x, v.y) for v in ct.tri.vertices]
+    scale = max(math.hypot(w[i][0] - w[(i + 1) % 3][0], w[i][1] - w[(i + 1) % 3][1]) for i in range(3))
+    eps = eps_geom * scale
+    mids = [((w[i][0] + w[(i + 1) % 3][0]) / 2.0, (w[i][1] + w[(i + 1) % 3][1]) / 2.0) for i in range(3)]
+    halves = [half for i in range(3) for half in ((w[i], mids[i]), (mids[i], w[(i + 1) % 3]))]
+    near = [[_seg_distance(p, *half) <= eps for half in halves] for p in ins]
+    on_side = [[row[2 * i] or row[2 * i + 1] for i in range(3)] for row in near]
+    on_arc = [[row[2 * j - 1] or row[2 * j] for j in range(3)] for row in near]
+    shared_pairs = [
+        (vi, wj)
+        for vi in range(3)
+        for wj in range(3)
+        if math.hypot(ins[vi][0] - w[wj][0], ins[vi][1] - w[wj][1]) <= eps
+    ]
+
+    def rays(pts, k):
+        out = []
+        for other in (pts[(k + 1) % 3], pts[(k + 2) % 3]):
+            dx, dy = other[0] - pts[k][0], other[1] - pts[k][1]
+            ln = math.hypot(dx, dy)
+            out.append((dx / ln, dy / ln))
+        return out
+
+    shares = False
+    for vi, wj in shared_pairs:
+        r_in = rays(ins, vi)
+        r_w = rays(w, wj)
+        angle_in = math.acos(max(-1.0, min(1.0, r_in[0][0] * r_in[1][0] + r_in[0][1] * r_in[1][1])))
+        angle_w = math.acos(max(-1.0, min(1.0, r_w[0][0] * r_w[1][0] + r_w[0][1] * r_w[1][1])))
+        if abs(angle_in - angle_w) > eps_geom:
+            continue
+        if any(ri[0] * rw[0] + ri[1] * rw[1] >= math.cos(eps_geom) for ri in r_in for rw in r_w):
+            shares = True
+            break
+
+    return {
+        "vertices_on_boundary": all(any(row) for row in on_side),
+        "sides_touch": all(any(row[i] for row in on_side) for i in range(3)),
+        "one_per_arc": any(
+            on_arc[0][p0] and on_arc[1][p1] and on_arc[2][p2] for p0, p1, p2 in itertools.permutations(range(3))
+        ),
+        "shared_vertex": bool(shared_pairs),
+        "shares_side_and_angle": shares,
+    }
+
+
+class TestWitnessFlags:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampler_matches_reference(self, seed):
+        for rep in verify_triangles(sample_canonical_triangles(seed=seed, count=2000)):
+            assert rep.flags == reference_witness_flags(rep.input, rep.oracle_result.witness)
+
+    def test_nudged_witnesses_match_reference(self):
+        # witnesses with one vertex moved, or grown about their centroid, by
+        # about the checks' tolerance (1e-5 of the witness size), so that
+        # every flag is False on some of them
+        rng = np.random.default_rng(17)
+        failed = set()
+        for rep in verify_triangles(sample_canonical_triangles(seed=5, count=200)):
+            w = rep.oracle_result.witness.vertices
+            size = max(dist(w[i], w[i - 1]) for i in range(3))
+            cx, cy = sum(p.x for p in w) / 3.0, sum(p.y for p in w) / 3.0
+            for _ in range(5):
+                step = size * 10.0 ** rng.uniform(-7.0, -3.0)
+                k, turn = rng.integers(3), rng.uniform(0.0, 2.0 * math.pi)
+                moved = list(w)
+                moved[k] = Point(w[k].x + step * math.cos(turn), w[k].y + step * math.sin(turn))
+                grow = 1.0 + 10.0 ** rng.uniform(-7.0, -3.0)
+                grown = [Point(cx + grow * (p.x - cx), cy + grow * (p.y - cy)) for p in w]
+                for nudged in (Triangle(*moved), Triangle(*grown)):
+                    flags = _witness_flags(rep.input, nudged)
+                    assert flags == reference_witness_flags(rep.input, nudged)
+                    failed.update(name for name, ok in flags.items() if not ok)
+        assert failed == set(rep.flags)

@@ -15,6 +15,7 @@ from isokit import (
     brute_force_min_isosceles,
     brute_force_min_isosceles_batch,
     canonicalize,
+    min_triangle_for_shape,
     minimum_isosceles_container,
     sample_canonical_triangles,
     triangle_from_angles,
@@ -112,3 +113,35 @@ def test_batch_results_match_single_searches():
     for t, result in zip(batch, together):
         assert result == brute_force_min_isosceles(t)
     assert brute_force_min_isosceles_batch(batch[::-1])[::-1] == together
+
+
+def far_posed(tri: Triangle, factor: float, direction: float) -> Triangle:
+    """`tri` moved by `factor` times its longest side along `direction`."""
+    v = tri.vertices
+    d = factor * max(math.hypot(v[i].x - v[i - 1].x, v[i].y - v[i - 1].y) for i in range(3))
+    return triangle([(p.x + d * math.cos(direction), p.y + d * math.sin(direction)) for p in v])
+
+
+def test_witness_matches_min_triangle_for_shape():
+    # the batch builds each witness from the support values its own search
+    # computed; min_triangle_for_shape computes them again for the result's
+    # shape, so the two triangles may differ by rounding alone
+    sampled = [ct.tri for ct in sample_canonical_triangles(seed=SAMPLER_SEED, count=20)]
+    batch = [
+        *sampled,
+        *(needle(*angles).tri for angles in NEEDLES),
+        *(triangle(far_345(offset)) for offset in OFFSETS),
+        *(far_posed(t, 10.0 ** (3 + i % 6), 0.7 * i) for i, t in enumerate(sampled)),
+    ]
+    for t, result in zip(batch, brute_force_min_isosceles_batch(batch)):
+        again = min_triangle_for_shape(t, result.params)
+        w = again.vertices
+        size = max(math.hypot(w[i].x - w[i - 1].x, w[i].y - w[i - 1].y) for i in range(3))
+        for p, q in zip(result.witness.vertices, w):
+            assert math.hypot(p.x - q.x, p.y - q.y) <= 1e-12 * size
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the needle gap grows like 1e-16 over the smallest angle")
+def test_needle_1e9_gap():
+    # relative_gap is 3.3e-7 here; the cause is not yet established
+    assert abs(verify_triangle(triangle_from_angles(1e-9, 0.3)).relative_gap) <= GAP_TOL
