@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -250,35 +251,30 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     triangles = sample_canonical_triangles(
-        seed,
-        args.samples,
-        min_angle=math.radians(args.min_angle),
-        scalene_margin=math.radians(args.scalene_margin),
-        tol=args.tolerances,
+        seed, args.samples, math.radians(args.min_angle), math.radians(args.scalene_margin), args.tolerances
     )
     reports = verify_triangles(triangles, args.tolerances)
-    max_gap = max(r.relative_gap for r in reports)
-    min_gap = min(r.relative_gap for r in reports)
-    max_min_ratio = max(r.min_result.min_ratio for r in reports)
+    gaps = [r.relative_gap for r in reports]
+    worst = max(range(len(gaps)), key=lambda i: abs(gaps[i]))  # the first on ties
     rates = {
         name: sum(1 for r in reports if r.flags[name]) / len(reports)
         for name in sorted(reports[0].flags)
     }
-    ok = (
-        max_gap <= args.gap_tol
-        and min_gap >= -1e-9
-        and all(rate == 1.0 for rate in rates.values())
-        and max_min_ratio < SQRT2 - 1e-9
-    )
     report = _report(
         seed=seed,
         samples=args.samples,
-        max_relative_gap=max_gap,
-        min_relative_gap=min_gap,
-        max_min_ratio=max_min_ratio,
+        max_relative_gap=max(gaps),
+        min_relative_gap=min(gaps),
+        max_min_ratio=max(r.min_result.min_ratio for r in reports),
         invariant_pass_rates=rates,
+        worst={"index": worst, "vertices": _point_list(reports[worst].input.tri), "relative_gap": gaps[worst]},
         cases=[verify_case_report(r) for r in reports],
-        **{"pass": ok},
+    )
+    report["pass"] = ok = (
+        report["max_relative_gap"] <= args.gap_tol
+        and report["min_relative_gap"] >= -1e-9
+        and all(rate == 1.0 for rate in rates.values())
+        and report["max_min_ratio"] < SQRT2 - 1e-9
     )
     rate_text = " ".join(f"{name}={100.0 * rate:.1f}%" for name, rate in rates.items())
     lines = [
@@ -287,6 +283,8 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         f"min relative gap = {_fmt(report['min_relative_gap'])}",
         f"invariant pass rates: {rate_text}",
         f"max min-ratio = {_fmt(report['max_min_ratio'])} (sqrt2 = {_fmt(SQRT2)})",
+        f"worst case: index {report['worst']['index']}, relative gap = {_fmt(report['worst']['relative_gap'])}, "
+        "vertices " + " ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in report["worst"]["vertices"]),
         "PASS" if ok else "FAIL",
     ]
     return report, lines, EXIT_OK if ok else EXIT_VERIFICATION
@@ -376,7 +374,10 @@ def cmd_svg(args: argparse.Namespace) -> Outcome:
     return None, [f"wrote {args.out} ({len(chosen)} containers)"], EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `isokit` parser, built once per process and shared by every call;
+    do not modify it."""
     parser = argparse.ArgumentParser(
         prog="isokit",
         description="Minimum-area isosceles containers of a triangle: "
@@ -437,7 +438,8 @@ def main(argv: list[str] | None = None) -> int:
         report, lines, code = args.func(args)
         print("\n".join(lines))
         if report is not None and args.out:
-            _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+            # compact, so that CPython's C encoder writes it
+            _write_text(args.out, json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
         return code
     except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geo import (
@@ -89,11 +89,17 @@ class VerificationReport:
     closed_form_area: float
     oracle_area: float
     relative_gap: float
-    boundary_invariants_ok: bool
-    shares_side_and_angle: bool
     min_result: MinimizerResult
     oracle_result: OracleResult
-    flags: dict[str, bool] = field(default_factory=dict)
+    flags: dict[str, bool]
+
+    @property
+    def boundary_invariants_ok(self) -> bool:
+        return all(self.flags[k] for k in ("vertices_on_boundary", "sides_touch", "one_per_arc", "shared_vertex"))
+
+    @property
+    def shares_side_and_angle(self) -> bool:
+        return self.flags["shares_side_and_angle"]
 
 
 def _check_nondegenerate(t: Triangle, tol: Tolerances) -> None:
@@ -383,24 +389,14 @@ def _closed_forms(cts: Sequence[CanonicalTriangle], tol: Tolerances) -> list[Min
 
 
 def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
-    gap = (oracle.min_area - closed.min_area) / closed.min_area
-    flags = _witness_flags(ct, oracle.witness)
-    boundary_ok = (
-        flags["vertices_on_boundary"]
-        and flags["sides_touch"]
-        and flags["one_per_arc"]
-        and flags["shared_vertex"]
-    )
     return VerificationReport(
         input=ct,
         closed_form_area=closed.min_area,
         oracle_area=oracle.min_area,
-        relative_gap=gap,
-        boundary_invariants_ok=boundary_ok,
-        shares_side_and_angle=flags["shares_side_and_angle"],
+        relative_gap=(oracle.min_area - closed.min_area) / closed.min_area,
         min_result=closed,
         oracle_result=oracle,
-        flags=flags,
+        flags=_witness_flags(ct, oracle.witness),
     )
 
 

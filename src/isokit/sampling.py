@@ -1,9 +1,12 @@
 """Seeded random triangle generation for batch verification.
 
-Angles are drawn uniformly from the simplex alpha + beta + gamma = pi and
-rejection-filtered to keep a minimum angle and a pairwise scalene margin, so
-near-degenerate and near-isosceles inputs (where tolerance flags dominate)
-stay out of the default batches.
+Angle triples are uniform on the ordered simplex alpha <= beta <= gamma,
+alpha + beta + gamma = pi, restricted to a minimum angle and a pairwise
+scalene margin, so near-degenerate and near-isosceles inputs (where
+tolerance flags dominate) stay out of the default batches.  That region is
+the ordered simplex shrunk and shifted, so one Dirichlet draw per triangle,
+mapped onto it, samples it: a margin close to its bound costs no more than
+the default.
 """
 
 from __future__ import annotations
@@ -29,33 +32,35 @@ DEFAULT_MIN_ANGLE = math.radians(5.0)
 DEFAULT_SCALENE_MARGIN = math.radians(1.0)
 
 
+def _draw_angles(rng: np.random.Generator, size: int | None, min_angle: float, scalene_margin: float):
+    """(alpha, beta) of `size` triangles, one if None, from one Dirichlet
+    call: each sorted Dirichlet(1, 1, 1) draw x, times pi, maps to
+    alpha = m + s x0, beta = m + g + s x1 (and gamma = m + 2g + s x2), with
+    m = min_angle+, g = scalene_margin+ and s = (pi - 3m - 3g) / pi."""
+    m, g = max(min_angle, 0.0), max(scalene_margin, 0.0)
+    s = (math.pi - 3.0 * m - 3.0 * g) / math.pi
+    if s <= 0.0:
+        raise ValueError(
+            f"min_angle {min_angle:.6g} and scalene_margin {scalene_margin:.6g} (radians) leave no "
+            "triangle: 3 * min_angle + 3 * scalene_margin must be below pi, negative values counting as 0"
+        )
+    x = math.pi * rng.dirichlet((1.0, 1.0, 1.0), size)
+    x.sort(axis=-1)
+    return m + s * x[..., 0], m + g + s * x[..., 1]
+
+
 def sample_scalene_angles(
     rng: np.random.Generator,
     min_angle: float = DEFAULT_MIN_ANGLE,
     scalene_margin: float = DEFAULT_SCALENE_MARGIN,
 ) -> tuple[float, float, float]:
-    """One angle triple, ascending, uniform on the simplex subject to the
-    margins.
-
-    The accepted triples alpha <= beta <= gamma are those with
-    alpha >= min_angle and both gaps >= scalene_margin: the ordered simplex
-    shrunk by the factor (pi - 3 min_angle+ - 3 scalene_margin+) / pi, where
-    x+ = max(x, 0).  A draw is accepted with that factor squared, so margins
-    that leave the factor at or below 0 raise `ValueError` instead of looping
-    forever.
-    """
-    if 3.0 * max(min_angle, 0.0) + 3.0 * max(scalene_margin, 0.0) >= math.pi:
-        raise ValueError(
-            f"min_angle {min_angle:.6g} and scalene_margin {scalene_margin:.6g} (radians) leave no "
-            "triangle: 3 * min_angle + 3 * scalene_margin must be below pi, negative values counting as 0"
-        )
-    while True:
-        angles = sorted((math.pi * rng.dirichlet((1.0, 1.0, 1.0))).tolist())
-        if angles[0] < min_angle:
-            continue
-        if angles[1] - angles[0] < scalene_margin or angles[2] - angles[1] < scalene_margin:
-            continue
-        return angles[0], angles[1], angles[2]
+    """One angle triple alpha <= beta <= gamma, from one Dirichlet draw of
+    `rng`, uniform on the triples with alpha >= min_angle and both gaps >=
+    scalene_margin: the ordered simplex shrunk by the factor
+    (pi - 3 min_angle+ - 3 scalene_margin+) / pi, where x+ = max(x, 0).
+    Margins that leave the factor at or below 0 raise `ValueError`."""
+    alpha, beta = (float(v) for v in _draw_angles(rng, None, min_angle, scalene_margin))
+    return alpha, beta, math.pi - alpha - beta
 
 
 def triangle_from_angles(
@@ -102,13 +107,9 @@ def sample_canonical_triangles(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[CanonicalTriangle]:
     """Deterministic batch of scalene triangles, circumdiameter 1, for the
-    given seed."""
+    given seed: the angles of `sample_scalene_angles`, all drawn in one call."""
     # imported on first use, so that `import isokit` does not load numpy
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        alpha, beta, _ = sample_scalene_angles(rng, min_angle, scalene_margin)
-        out.append(triangle_from_angles(alpha, beta, 1.0, tol))
-    return out
+    alphas, betas = _draw_angles(np.random.default_rng(seed), count, min_angle, scalene_margin)
+    return [triangle_from_angles(a, b, 1.0, tol) for a, b in zip(alphas.tolist(), betas.tolist())]

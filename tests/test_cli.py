@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,9 @@ from isokit import (
     sample_canonical_triangles,
     triangle_from_sides,
     verify_triangle,
+    verify_triangles,
 )
+from isokit import cli
 from isokit.cli import build_parser, containers_report, main, min_report, verify_case_report
 
 
@@ -193,6 +196,25 @@ class TestVerify:
         ]
         assert cases == json.loads(json.dumps(expected))
 
+    def test_worst_case_is_first_largest_abs_gap(self, capsys, tmp_path, monkeypatch):
+        # gaps stubbed onto real reports: case 1 and case 2 tie on |gap|
+        gaps = [1e-13, -4e-13, 4e-13, 2e-13]
+
+        def with_gaps(cts, tol):
+            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts, tol), gaps)]
+
+        monkeypatch.setattr(cli, "verify_triangles", with_gaps)
+        path = tmp_path / "cases.json"
+        code, out, _ = run(capsys, "verify", "--samples", "4", "--seed", "3", "--out", str(path))
+        assert code == 0
+        doc = json.loads(path.read_text())
+        assert doc["worst"] == {
+            "index": 1,
+            "vertices": doc["cases"][1]["triangle"]["vertices"],
+            "relative_gap": -4e-13,
+        }
+        assert out.splitlines()[-2].startswith("worst case: index 1, relative gap = -4e-13, vertices (0, 0) ")
+
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("ISOKIT_SEED", "5")
         _, out_env, _ = run(capsys, "verify", "--samples", "3")
@@ -204,13 +226,16 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "--samples", "3", "--seed", "9")
         assert "seed=9" in out
 
-    def test_violation_exits_1(self, capsys):
-        # an impossible gap tolerance forces the failure path
+    def test_violation_exits_1(self, capsys, tmp_path):
+        # the relative gap (oracle - closed) / closed exceeds -1 for every
+        # positive oracle area, so no sample meets a gap tolerance of -1
+        path = tmp_path / "cases.json"
         code, out, _ = run(
-            capsys, "verify", "--samples", "3", "--seed", "1", "--gap-tol", "1e-15"
+            capsys, "verify", "--samples", "3", "--seed", "1", "--gap-tol", "-1", "--out", str(path)
         )
         assert code == 1
-        assert "FAIL" in out
+        assert out.endswith("FAIL\n")
+        assert json.loads(path.read_text())["pass"] is False
 
     def test_infeasible_margins_exit_2(self):
         # no angle triple meets these margins, so a sampler that kept drawing
@@ -336,3 +361,8 @@ def test_option_list():
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     got = {name: {opt for a in p._actions for opt in a.option_strings} for name, p in commands.items()}
     assert got == expected
+
+
+def test_parser_built_once():
+    # main reuses one parser per process instead of rebuilding it per call
+    assert build_parser() is build_parser()

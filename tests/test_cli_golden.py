@@ -9,7 +9,9 @@ form carries source paths.
 To re-capture after a deliberate output change:
     PYTHONPATH=src python tests/test_cli_golden.py
 It prints each case that changed, the fields that moved and, for each
-written file, the largest relative change of any number in it.
+written file, the largest relative change of any number in it, or "same
+JSON value" for a .json file whose bytes changed but which parses to the
+same value as before.
 """
 
 import json
@@ -144,9 +146,15 @@ def report_changes(old: dict, results: list[dict]) -> None:
         moved = [k for k in new if k != "files" and new[k] != was[k]]
         for name in sorted(set(new["files"]) | set(was["files"])):
             a, b = was["files"].get(name), new["files"].get(name)
-            if a != b:
-                change = math.inf if a is None or b is None else largest_relative_change(a, b)
-                moved.append(f"{name} (largest relative change {change:.2g})")
+            if a == b:
+                continue
+            if a is None or b is None:
+                change = "largest relative change inf"
+            elif name.endswith(".json") and json.loads(a) == json.loads(b):
+                change = "same JSON value"
+            else:
+                change = f"largest relative change {largest_relative_change(a, b):.2g}"
+            moved.append(f"{name} ({change})")
         print(f"changed: {' '.join(new['argv'])}: {', '.join(moved)}", file=sys.stderr)
 
 

@@ -38,19 +38,50 @@ def test_margins_respected():
 @pytest.mark.parametrize("min_angle, scalene_margin", [(30, 30), (60, 0), (0, 60), (70, -10)])
 def test_infeasible_margins_raise(min_angle, scalene_margin):
     # 3 * min_angle + 3 * scalene_margin >= 180 degrees leaves no triangle
-    # to accept, so a rejection loop that kept drawing would never return
+    # to draw from
     with pytest.raises(ValueError, match="scalene_margin"):
         sample_canonical_triangles(
             0, 1, min_angle=math.radians(min_angle), scalene_margin=math.radians(scalene_margin)
         )
 
 
-def test_margins_near_the_bound():
-    # 3 * 50 + 3 * 9 = 177 degrees: one draw in about 3600 is accepted
-    (ct,) = sample_canonical_triangles(0, 1, min_angle=math.radians(50), scalene_margin=math.radians(9))
-    al, be, ga = sorted((ct.alpha, ct.beta, ct.gamma))
-    assert al >= math.radians(50)
-    assert min(be - al, ga - be) >= math.radians(9) - 1e-12
+class _SpyGenerator:
+    """A numpy Generator that counts its dirichlet calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.dirichlet_calls = 0
+
+    def dirichlet(self, *args, **kwargs):
+        self.dirichlet_calls += 1
+        return self.rng.dirichlet(*args, **kwargs)
+
+
+def test_batch_is_sequential_single_draws():
+    # one formula: the batch maps the same draws the single sampler maps
+    rng = np.random.default_rng(11)
+    singles = [triangle_from_angles(*sample_scalene_angles(rng)[:2]) for _ in range(50)]
+    assert [ct.tri for ct in sample_canonical_triangles(11, 50)] == [ct.tri for ct in singles]
+
+
+def test_margins_near_the_bound(monkeypatch):
+    # 3 * min_angle + 3 * scalene_margin within 3 degrees of 180: the allowed
+    # triples are a sliver of the simplex, and still cost one draw each
+    for min_angle, scalene_margin in ((59.95, 0.0), (50.0, 9.0)):
+        lo, gap = math.radians(min_angle), math.radians(scalene_margin)
+        spy = _SpyGenerator(0)
+        for _ in range(100):
+            al, be, ga = sample_scalene_angles(spy, lo, gap)
+            assert al >= lo and be - al >= gap - 1e-12 and ga - be >= gap - 1e-12
+        assert spy.dirichlet_calls == 100
+
+        spy = _SpyGenerator(0)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: spy)
+        for ct in sample_canonical_triangles(0, 100, min_angle=lo, scalene_margin=gap):
+            al, be, ga = sorted((ct.alpha, ct.beta, ct.gamma))
+            assert al >= lo - 1e-12 and min(be - al, ga - be) >= gap - 1e-12
+        assert spy.dirichlet_calls == 1
+        monkeypatch.undo()
 
 
 def test_batch_is_scalene():
