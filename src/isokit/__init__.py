@@ -7,120 +7,13 @@ the unique three-way-tie triangle), and cross-checks everything against a
 brute-force supporting-line oracle.
 """
 
-from .geo import (
-    DEFAULT_TOLERANCES,
-    CanonicalTriangle,
-    DegenerateTriangle,
-    GeometryError,
-    NonFinite,
-    NotScalene,
-    Point,
-    ShapeClass,
-    Tolerances,
-    Triangle,
-    area,
-    canonicalize,
-    contains_point,
-    contains_triangle,
-    signed_area,
-)
-from .containers import (
-    ContainerVariant,
-    Kind,
-    NearRightAngleWarning,
-    SpecialContainer,
-    all_special_containers,
-    first_kind,
-    second_kind,
-    third_kind,
-)
-from .minimize import (
-    SELF_CONTAINER,
-    BracketFailure,
-    ExtremalCurvePoint,
-    InvalidRegime,
-    InvalidSides,
-    MinimizerResult,
-    alpha_star,
-    alpha_star_equation,
-    eq1_residual,
-    first_kind_ratio,
-    minimum_isosceles_container,
-    ratio_curves,
-    t_star,
-    triangle_at_crossing,
-)
-from .oracle import (
-    OracleResult,
-    ShapeParams,
-    UnboundedShape,
-    VerificationReport,
-    brute_force_min_isosceles,
-    brute_force_min_isosceles_batch,
-    can_cover,
-    min_triangle_for_shape,
-    verify_triangle,
-    verify_triangles,
-)
-from .sampling import (
-    sample_canonical_triangles,
-    sample_scalene_angles,
-    triangle_from_angles,
-    triangle_from_sides,
-)
+from . import containers, geo, minimize, oracle, sampling
+from .containers import *  # noqa: F403
+from .geo import *  # noqa: F403
+from .minimize import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOLERANCES",
-    "SELF_CONTAINER",
-    "BracketFailure",
-    "CanonicalTriangle",
-    "ContainerVariant",
-    "DegenerateTriangle",
-    "ExtremalCurvePoint",
-    "GeometryError",
-    "InvalidRegime",
-    "InvalidSides",
-    "Kind",
-    "MinimizerResult",
-    "NearRightAngleWarning",
-    "NonFinite",
-    "NotScalene",
-    "OracleResult",
-    "Point",
-    "ShapeClass",
-    "ShapeParams",
-    "SpecialContainer",
-    "Tolerances",
-    "Triangle",
-    "UnboundedShape",
-    "VerificationReport",
-    "all_special_containers",
-    "alpha_star",
-    "alpha_star_equation",
-    "area",
-    "brute_force_min_isosceles",
-    "brute_force_min_isosceles_batch",
-    "can_cover",
-    "canonicalize",
-    "contains_point",
-    "contains_triangle",
-    "eq1_residual",
-    "first_kind",
-    "first_kind_ratio",
-    "min_triangle_for_shape",
-    "minimum_isosceles_container",
-    "ratio_curves",
-    "sample_canonical_triangles",
-    "sample_scalene_angles",
-    "second_kind",
-    "signed_area",
-    "t_star",
-    "third_kind",
-    "triangle_at_crossing",
-    "triangle_from_angles",
-    "triangle_from_sides",
-    "verify_triangle",
-    "verify_triangles",
-]
+__all__ = [name for module in (geo, containers, minimize, oracle, sampling) for name in module.__all__]

@@ -143,10 +143,17 @@ def _parse_floats(text: str, expect: int, what: str) -> list[float]:
     return vals
 
 
+def _floats(value, count: int) -> bool:
+    """Whether `value` is a list of `count` floats."""
+    return isinstance(value, list) and len(value) == count and all(isinstance(v, float) for v in value)
+
+
 def _triangle_from_json(path: str, tol: Tolerances) -> CanonicalTriangle:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            # integers parse as floats too (too large ones as inf), so that
+            # any other value, a boolean included, is not a number
+            doc = json.load(fh, parse_int=float)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -154,18 +161,16 @@ def _triangle_from_json(path: str, tol: Tolerances) -> CanonicalTriangle:
     tri = doc.get("triangle") if isinstance(doc, dict) else None
     if not isinstance(tri, dict):
         raise ValueError(f"{path}: missing 'triangle' object")
-    try:
-        if "sides" in tri:
-            a, b, c = (float(v) for v in tri["sides"])
-            return triangle_from_sides(a, b, c, tol)
-        if "vertices" in tri:
-            pts = [Point(float(x), float(y)) for x, y in tri["vertices"]]
-            if len(pts) != 3:
-                raise ValueError(f"{path}: need exactly 3 vertices")
-            return canonicalize(Triangle(*pts), tol)
-    except TypeError as exc:  # null, a bare number or a non-number entry
-        raise ValueError(f"{path}: 'sides' must be 3 numbers and 'vertices' 3 [x, y] pairs") from exc
-    raise ValueError(f"{path}: triangle needs 'sides' or 'vertices'")
+    if "sides" in tri:
+        if _floats(tri["sides"], 3):
+            return triangle_from_sides(*tri["sides"], tol)
+    elif "vertices" in tri:
+        pts = tri["vertices"]
+        if isinstance(pts, list) and len(pts) == 3 and all(_floats(p, 2) for p in pts):
+            return canonicalize(Triangle(*(Point(x, y) for x, y in pts)), tol)
+    else:
+        raise ValueError(f"{path}: triangle needs 'sides' or 'vertices'")
+    raise ValueError(f"{path}: 'sides' must be 3 numbers and 'vertices' 3 [x, y] pairs")
 
 
 def _resolve_triangle(args: argparse.Namespace, tol: Tolerances) -> CanonicalTriangle:

@@ -22,15 +22,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .geo import (
-    DEFAULT_TOLERANCES,
-    CanonicalTriangle,
-    NotScalene,
-    Point,
-    ShapeClass,
-    Tolerances,
-    Triangle,
-)
+from .geo import DEFAULT_TOLERANCES, CanonicalTriangle, Point, Tolerances, Triangle, _check_scalene
 
 __all__ = [
     "Kind",
@@ -125,13 +117,6 @@ class SpecialContainer:
         return _NEW_VERTEX[self.variant]
 
 
-def _require_scalene(ct: CanonicalTriangle) -> None:
-    if ct.shape_class is not ShapeClass.SCALENE:
-        raise NotScalene(
-            f"special containers need a scalene triangle, got {ct.shape_class.value}"
-        )
-
-
 def _container(ct: CanonicalTriangle, variant: ContainerVariant) -> SpecialContainer:
     """The container PQX of `variant`, X = P + s*(R - P), with ratio s."""
     kind, (p, q, r) = _RAYS[variant]
@@ -153,7 +138,7 @@ def _container(ct: CanonicalTriangle, variant: ContainerVariant) -> SpecialConta
 
 
 def _build(ct: CanonicalTriangle, variants: list[ContainerVariant]) -> list[SpecialContainer]:
-    _require_scalene(ct)
+    _check_scalene(ct)
     return [_container(ct, v) for v in variants]
 
 

@@ -1,5 +1,6 @@
 """Planar primitives: tolerances, points, triangles, canonical labeling
-and containment predicates.
+and containment predicates, and the input checks and interior angle that
+every other module shares.
 
 Angles are radians throughout; degrees appear only at the CLI boundary.
 Every type is immutable and every function is pure, so the whole module is
@@ -56,23 +57,20 @@ _EPS_AREA_FACTOR = 1e-12
 class Tolerances:
     """Tolerance bundle threaded explicitly through geometric decisions.
 
-    ``eps_len`` and ``eps_num`` are relative; ``eps_angle`` is absolute
-    radians; ``eps_tie`` is the relative margin for declaring equal-area
-    minimizers.  The degeneracy threshold is not among them: `eps_area` is
-    the fixed ``_EPS_AREA_FACTOR`` times the squared bounding-box diagonal.
+    Each field decides one thing: ``eps_len`` (relative) which side lengths
+    count as equal in `canonicalize`, ``eps_angle`` (absolute radians) how
+    near 90 degrees `third_kind` drops the containers replacing A or B,
+    ``eps_num`` (relative) the slack of `can_cover`, and ``eps_tie``
+    (relative) which candidates tie as minimizers.  The degeneracy
+    threshold is not among them: it is the fixed ``_EPS_AREA_FACTOR`` times
+    the squared bounding-box diagonal, so functions that only check for
+    degeneracy take no tolerances.
     """
 
     eps_len: float = 1e-9
     eps_angle: float = 1e-9
     eps_num: float = 1e-9
     eps_tie: float = 1e-9
-
-    def eps_area(self, *points: "Point") -> float:
-        """Absolute area threshold scaled to the bounding box of `points`."""
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        diag2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
-        return _EPS_AREA_FACTOR * diag2
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -159,11 +157,32 @@ def area(t: Triangle) -> float:
     return abs(signed_area(t))
 
 
-def _angle_at(p: Point, q: Point, r: Point) -> float:
+def _eps_area(*points: Point) -> float:
+    """Absolute degeneracy threshold for `points`: ``_EPS_AREA_FACTOR``
+    times the squared diagonal of their bounding box."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    diag2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
+    return _EPS_AREA_FACTOR * diag2
+
+
+def _check_nondegenerate(t: Triangle) -> None:
+    """Raise `DegenerateTriangle` unless `t`'s area exceeds `_eps_area`."""
+    if area(t) <= _eps_area(*t.vertices):
+        raise DegenerateTriangle(f"triangle area {area(t)} is below threshold")
+
+
+def _check_scalene(ct: CanonicalTriangle) -> None:
+    """Raise `NotScalene` unless `ct` has three distinct side lengths."""
+    if ct.shape_class is not ShapeClass.SCALENE:
+        raise NotScalene(f"need a scalene triangle, got {ct.shape_class.value}")
+
+
+def _angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
+    """The angle in [0, pi] between the vectors (ux, uy) and (vx, vy)."""
     # atan2 of (|cross|, dot) stays accurate even for needle triangles,
-    # where the law of cosines loses the small angles to cancellation
-    ux, uy = q.x - p.x, q.y - p.y
-    vx, vy = r.x - p.x, r.y - p.y
+    # where the law of cosines, or acos of a dot product, loses the small
+    # angles to cancellation
     return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
@@ -171,11 +190,14 @@ def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> Canonical
     """Relabel vertices so side lengths satisfy a <= b <= c.
 
     The relabeling is a vertex permutation only; the point set is unchanged.
-    Ties within `tol.eps_len` are broken lexicographically on vertex
-    coordinates, which makes the operation idempotent.
+    Vertices are sorted by the length of their opposite side, and only exact
+    length ties are broken lexicographically on vertex coordinates.  That
+    keeps the operation idempotent: a length is computed from the same two
+    points whatever their labels (swapping them only flips the signs of the
+    differences), so a second call sees the same keys.  Lengths within
+    `tol.eps_len` of each other only decide the shape class.
     """
-    if area(t) <= tol.eps_area(*t.vertices):
-        raise DegenerateTriangle(f"triangle area {area(t)} is below threshold")
+    _check_nondegenerate(t)
 
     verts = list(t.vertices)
     # opposite[i] is the side not incident to verts[i]
@@ -194,9 +216,9 @@ def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> Canonical
     else:
         shape = ShapeClass.SCALENE
 
-    alpha = _angle_at(A, B, C)
-    beta = _angle_at(B, C, A)
-    gamma = _angle_at(C, A, B)
+    alpha = _angle_between(B.x - A.x, B.y - A.y, C.x - A.x, C.y - A.y)
+    beta = _angle_between(C.x - B.x, C.y - B.y, A.x - B.x, A.y - B.y)
+    gamma = _angle_between(A.x - C.x, A.y - C.y, B.x - C.x, B.y - C.y)
     tri = Triangle(A, B, C)
     return CanonicalTriangle(
         tri=tri,
@@ -211,14 +233,16 @@ def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> Canonical
     )
 
 
-def contains_point(t: Triangle, p: Point, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def contains_point(t: Triangle, p: Point) -> bool:
     """Closed containment test with slack toward inclusion.
 
     A point on an edge or vertex counts as contained; the slack keeps exact
     shared edges from flipping to "outside" under rounding.
     """
     sa = signed_area(t)
-    eps = tol.eps_area(*t.vertices, p)
+    # the threshold's bounding box includes p, so the slack grows with the
+    # distance of p from the triangle
+    eps = _eps_area(*t.vertices, p)
     if abs(sa) <= eps:
         raise DegenerateTriangle("containment is undefined for a degenerate triangle")
     orient = 1.0 if sa > 0 else -1.0
@@ -232,9 +256,7 @@ def contains_point(t: Triangle, p: Point, tol: Tolerances = DEFAULT_TOLERANCES) 
     return True
 
 
-def contains_triangle(
-    outer: Triangle, inner: Triangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def contains_triangle(outer: Triangle, inner: Triangle) -> bool:
     """True iff every vertex of `inner` lies in closed `outer` (convexity)."""
-    return all(contains_point(outer, p, tol) for p in inner.vertices)
+    return all(contains_point(outer, p) for p in inner.vertices)
 

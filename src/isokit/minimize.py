@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from .geo import (
     DEFAULT_TOLERANCES,
     CanonicalTriangle,
-    NotScalene,
     Point,
     ShapeClass,
     Tolerances,
     Triangle,
+    _check_scalene,
     canonicalize,
 )
 from .containers import SpecialContainer, first_kind, second_kind
@@ -179,8 +179,7 @@ def eq1_residual(ct: CanonicalTriangle) -> float:
 
     Zero exactly when the containers ABC' and AB1C have equal area.
     """
-    if ct.shape_class is not ShapeClass.SCALENE:
-        raise NotScalene("the residual is defined for scalene triangles only")
+    _check_scalene(ct)
     return _eq1(ct.b, ct.c, ct.alpha, ct.beta)
 
 

@@ -21,13 +21,12 @@ from typing import Iterable, Sequence
 from .geo import (
     DEFAULT_TOLERANCES,
     CanonicalTriangle,
-    DegenerateTriangle,
-    NotScalene,
     Point,
-    ShapeClass,
     Tolerances,
     Triangle,
-    area,
+    _angle_between,
+    _check_nondegenerate,
+    _check_scalene,
     signed_area,
 )
 from .minimize import MinimizerResult, minimum_isosceles_container
@@ -102,11 +101,6 @@ class VerificationReport:
         return self.flags["shares_side_and_angle"]
 
 
-def _check_nondegenerate(t: Triangle, tol: Tolerances) -> None:
-    if area(t) <= tol.eps_area(*t.vertices):
-        raise DegenerateTriangle("oracle operations need a non-degenerate triangle")
-
-
 def _witness_vertices(
     centre: tuple[float, float], supports: tuple[float, float, float], sp: ShapeParams
 ) -> Triangle:
@@ -133,14 +127,12 @@ def _witness_vertices(
     return Triangle(to_point(xi_apex, eta_apex), to_point(xi_base, eta_1), to_point(xi_base, eta_2))
 
 
-def min_triangle_for_shape(
-    t: Triangle, sp: ShapeParams, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Triangle:
+def min_triangle_for_shape(t: Triangle, sp: ShapeParams) -> Triangle:
     """Smallest isosceles triangle of the given shape/orientation containing
     `t`: the triangle bounded by the three supporting lines of `t` at the
     shape's outward side normals.  Every side touches `t`.
     """
-    _check_nondegenerate(t, tol)
+    _check_nondegenerate(t)
     # imported on first use, so that `import isokit` does not load numpy
     from ._search import _shape_frame, _side_supports
 
@@ -149,9 +141,7 @@ def min_triangle_for_shape(
     return _witness_vertices((cx, cy), tuple(float(g) * s for g in h), sp)
 
 
-def brute_force_min_isosceles_batch(
-    triangles: Iterable[Triangle], tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[OracleResult]:
+def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[OracleResult]:
     """Minimum-area isosceles triangle containing each of `triangles`, by an
     exact search over (apex angle, axis direction) that does not use the
     closed-form candidate analysis.
@@ -176,13 +166,15 @@ def brute_force_min_isosceles_batch(
     the container bounded by the support values that area came from, as
     the search computed them (`min_triangle_for_shape` builds the same
     triangle from supports it computes itself).  Every triangle is checked
-    before the search.  Deterministic: ties go to the first candidate.
+    before the search, against the fixed degeneracy threshold of
+    `canonicalize`; the search itself takes no tolerances.  Deterministic:
+    ties go to the first candidate.
     """
     triangles = list(triangles)
     if not triangles:
         return []
     for t in triangles:
-        _check_nondegenerate(t, tol)
+        _check_nondegenerate(t)
     # imported on first use, so that `import isokit` does not load numpy
     from ._search import best_shapes
 
@@ -194,12 +186,10 @@ def brute_force_min_isosceles_batch(
     return results
 
 
-def brute_force_min_isosceles(
-    t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> OracleResult:
+def brute_force_min_isosceles(t: Triangle) -> OracleResult:
     """Minimum-area isosceles triangle containing `t`: the one-triangle
     batch of `brute_force_min_isosceles_batch`."""
-    return brute_force_min_isosceles_batch([t], tol)[0]
+    return brute_force_min_isosceles_batch([t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +232,8 @@ def can_cover(
     condition is linear in the slide offset, so feasibility is an interval
     intersection, decided in closed form.
     """
-    _check_nondegenerate(mover, tol)
-    _check_nondegenerate(target, tol)
+    _check_nondegenerate(mover)
+    _check_nondegenerate(target)
 
     sides = []
     for tri in (mover, target):
@@ -307,8 +297,7 @@ def _corner(pts: list[tuple[float, float]], k: int) -> tuple[list[tuple[float, f
         dx, dy = ox - x, oy - y
         ln = math.hypot(dx, dy)
         rays.append((dx / ln, dy / ln))
-    (ax, ay), (bx, by) = rays
-    return rays, math.acos(max(-1.0, min(1.0, ax * bx + ay * by)))
+    return rays, _angle_between(*rays[0], *rays[1])
 
 
 def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
@@ -383,8 +372,7 @@ def _closed_forms(cts: Sequence[CanonicalTriangle], tol: Tolerances) -> list[Min
     """The closed-form minimum of each of `cts`, after checking that every
     one is scalene."""
     for ct in cts:
-        if ct.shape_class is not ShapeClass.SCALENE:
-            raise NotScalene("verification runs on scalene triangles only")
+        _check_scalene(ct)
     return [minimum_isosceles_container(ct, tol) for ct in cts]
 
 
@@ -406,10 +394,11 @@ def verify_triangles(
     """Compare the closed-form minimum against the brute-force oracle and
     check the boundary structure of the oracle's witness, for each of `cts`.
     The oracle searches all of them in one batch; every triangle is checked
-    before the search."""
+    before the search.  `tol` reaches only the closed form, whose tie
+    margin it sets."""
     cts = list(cts)
     closed = _closed_forms(cts, tol)
-    oracles = brute_force_min_isosceles_batch([ct.tri for ct in cts], tol)
+    oracles = brute_force_min_isosceles_batch([ct.tri for ct in cts])
     return [_report(*case) for case in zip(cts, closed, oracles)]
 
 
@@ -418,4 +407,4 @@ def verify_triangle(ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES)
     `brute_force_min_isosceles`, so a caller that wraps that function (the
     benchmark's tracer does) still sees single searches."""
     (closed,) = _closed_forms([ct], tol)
-    return _report(ct, closed, brute_force_min_isosceles(ct.tri, tol))
+    return _report(ct, closed, brute_force_min_isosceles(ct.tri))

@@ -39,7 +39,7 @@ def _draw_angles(rng: np.random.Generator, size: int | None, min_angle: float, s
     m = min_angle+, g = scalene_margin+ and s = (pi - 3m - 3g) / pi."""
     m, g = max(min_angle, 0.0), max(scalene_margin, 0.0)
     s = (math.pi - 3.0 * m - 3.0 * g) / math.pi
-    if s <= 0.0:
+    if not s > 0.0:  # NaN margins leave no triangle either
         raise ValueError(
             f"min_angle {min_angle:.6g} and scalene_margin {scalene_margin:.6g} (radians) leave no "
             "triangle: 3 * min_angle + 3 * scalene_margin must be below pi, negative values counting as 0"
@@ -58,7 +58,7 @@ def sample_scalene_angles(
     `rng`, uniform on the triples with alpha >= min_angle and both gaps >=
     scalene_margin: the ordered simplex shrunk by the factor
     (pi - 3 min_angle+ - 3 scalene_margin+) / pi, where x+ = max(x, 0).
-    Margins that leave the factor at or below 0 raise `ValueError`."""
+    Margins that leave the factor at or below 0, or NaN, raise `ValueError`."""
     alpha, beta = (float(v) for v in _draw_angles(rng, None, min_angle, scalene_margin))
     return alpha, beta, math.pi - alpha - beta
 

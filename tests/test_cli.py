@@ -104,8 +104,28 @@ class TestMin:
 
     @pytest.mark.parametrize(
         "triangle",
-        [{"sides": None}, {"sides": 5}, {"sides": [3, 4, None]}, {"vertices": [None, [1, 0], [0, 1]]}],
-        ids=["sides-null", "sides-number", "sides-null-entry", "vertices-null-entry"],
+        [
+            {"sides": None},
+            {"sides": 5},
+            {"sides": [3, 4, None]},
+            {"vertices": [None, [1, 0], [0, 1]]},
+            {"sides": "345"},
+            {"sides": [3, 4]},
+            {"vertices": ["00", "40", "03"]},
+            {"vertices": [[0, 0], [True, 0], [0, True]]},
+            {"vertices": [[0, 0], [4, 0]]},
+        ],
+        ids=[
+            "sides-null",
+            "sides-number",
+            "sides-null-entry",
+            "vertices-null-entry",
+            "sides-string",
+            "sides-two",
+            "vertices-strings",
+            "vertices-booleans",
+            "vertices-two",
+        ],
     )
     def test_json_non_numbers_exit_2(self, capsys, tmp_path, triangle):
         path = tmp_path / "f.json"
@@ -113,7 +133,14 @@ class TestMin:
         code, out, err = run(capsys, "min", "--json", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {path}: ")
+        assert err == f"error: {path}: 'sides' must be 3 numbers and 'vertices' 3 [x, y] pairs\n"
+
+    def test_json_int_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"triangle": {"sides": [10**400, 4, 5]}}))
+        code, out, err = run(capsys, "min", "--json", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_report_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "min.json"

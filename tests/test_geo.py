@@ -9,13 +9,19 @@ from isokit import (
     NonFinite,
     Point,
     ShapeClass,
+    ShapeParams,
     Triangle,
     area,
+    brute_force_min_isosceles,
+    can_cover,
     canonicalize,
     contains_point,
     contains_triangle,
+    min_triangle_for_shape,
     signed_area,
 )
+from isokit.geo import _angle_between
+from isokit.oracle import _corner
 
 
 def tri(ax, ay, bx, by, cx, cy):
@@ -171,3 +177,31 @@ class TestContainsTriangle:
 def test_signed_area_orientation():
     assert signed_area(tri(0, 0, 1, 0, 0, 1)) > 0
     assert signed_area(tri(0, 0, 0, 1, 1, 0)) < 0
+
+
+# every function that needs a proper triangle uses one check
+_ENTRY_POINTS = {
+    "canonicalize": canonicalize,
+    "brute_force_min_isosceles": brute_force_min_isosceles,
+    "min_triangle_for_shape": lambda t: min_triangle_for_shape(t, ShapeParams(apex_angle=1.0, rotation=0.3)),
+    "can_cover": lambda t: can_cover(t, t),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_one_degeneracy_threshold(entry):
+    # area h/2 against the threshold 1e-12 * (1 + h^2): the boundary is h = 2e-12
+    below, above = (tri(0.0, 0.0, 1.0, 0.0, 0.5, 2e-12 * f) for f in (0.999, 1.001))
+    with pytest.raises(DegenerateTriangle) as exc:
+        _ENTRY_POINTS[entry](below)
+    assert str(exc.value) == f"triangle area {area(below)} is below threshold"
+    _ENTRY_POINTS[entry](above)
+
+
+def test_needle_corner_angle():
+    # acos of the rays' dot product, 1 - 5e-19, rounds to acos(1) = 0
+    theta = 1e-9
+    rays = [(1.0, 0.0), (math.cos(theta), math.sin(theta))]
+    assert _angle_between(*rays[0], *rays[1]) == pytest.approx(theta, rel=1e-15, abs=0.0)
+    _, angle = _corner([(0.0, 0.0), *rays], 0)
+    assert angle == pytest.approx(theta, rel=1e-15, abs=0.0)

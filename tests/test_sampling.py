@@ -35,11 +35,13 @@ def test_margins_respected():
         assert al + be + ga == pytest.approx(math.pi, abs=1e-12)
 
 
-@pytest.mark.parametrize("min_angle, scalene_margin", [(30, 30), (60, 0), (0, 60), (70, -10)])
+@pytest.mark.parametrize(
+    "min_angle, scalene_margin", [(30, 30), (60, 0), (0, 60), (70, -10), (math.nan, 0), (0, math.nan)]
+)
 def test_infeasible_margins_raise(min_angle, scalene_margin):
     # 3 * min_angle + 3 * scalene_margin >= 180 degrees leaves no triangle
-    # to draw from
-    with pytest.raises(ValueError, match="scalene_margin"):
+    # to draw from, and neither does a NaN margin
+    with pytest.raises(ValueError, match="leave no triangle"):
         sample_canonical_triangles(
             0, 1, min_angle=math.radians(min_angle), scalene_margin=math.radians(scalene_margin)
         )
