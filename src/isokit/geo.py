@@ -237,17 +237,13 @@ def contains_point(t: Triangle, p: Point) -> bool:
     """Closed containment test with slack toward inclusion.
 
     A point on an edge or vertex counts as contained; the slack keeps exact
-    shared edges from flipping to "outside" under rounding.
+    shared edges from flipping to "outside" under rounding.  The degeneracy
+    test and the slack depend on `t` alone, not on where `p` lies.
     """
-    sa = signed_area(t)
-    # the threshold's bounding box includes p, so the slack grows with the
-    # distance of p from the triangle
-    eps = _eps_area(*t.vertices, p)
-    if abs(sa) <= eps:
-        raise DegenerateTriangle("containment is undefined for a degenerate triangle")
-    orient = 1.0 if sa > 0 else -1.0
+    _check_nondegenerate(t)
+    orient = 1.0 if signed_area(t) > 0 else -1.0
     # each cross product is twice the signed area of the sub-triangle
-    slack = 2.0 * eps
+    slack = 2.0 * _eps_area(*t.vertices)
     va, vb, vc = t.vertices
     for q0, q1 in ((va, vb), (vb, vc), (vc, va)):
         cross = (q1.x - q0.x) * (p.y - q0.y) - (q1.y - q0.y) * (p.x - q0.x)

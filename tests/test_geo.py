@@ -153,6 +153,13 @@ class TestContainsPoint:
         assert contains_point(flipped, Point(0.25, 0.25))
         assert not contains_point(flipped, Point(1.0, 1.0))
 
+    def test_far_point_is_outside(self):
+        # the degeneracy threshold and the slack come from the triangle
+        # alone; with p in their bounding box, this proper triangle counted
+        # as degenerate
+        assert not contains_point(self.t, Point(1e6, 1e6))
+        assert not contains_point(self.t, Point(-1e6, 0.5))
+
 
 class TestContainsTriangle:
     def test_small_inner(self):
@@ -185,6 +192,7 @@ _ENTRY_POINTS = {
     "brute_force_min_isosceles": brute_force_min_isosceles,
     "min_triangle_for_shape": lambda t: min_triangle_for_shape(t, ShapeParams(apex_angle=1.0, rotation=0.3)),
     "can_cover": lambda t: can_cover(t, t),
+    "contains_point": lambda t: contains_point(t, t.A),
 }
 
 

@@ -32,9 +32,11 @@ def test_traced_verify_records_cli_and_sampler_spans(monkeypatch, capsys):
 
 # The per-layer view needs the oracle and the closed form to call the
 # functions perfbench wraps by those module attributes: `verify_triangle`
-# reaches the oracle through `oracle.brute_force_min_isosceles`, and
+# reaches the oracle through `oracle.brute_force_min_isosceles`,
 # `minimum_isosceles_container` builds its candidates through
-# `minimize.first_kind` and `minimize.second_kind`.
+# `minimize.first_kind` and `minimize.second_kind`, and the `closed_form`
+# op decides `can_cover` both ways through `ops.cover_accept` and
+# `ops.cover_reject`.
 
 SCALENE = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
 
@@ -66,3 +68,7 @@ def test_traced_closed_form_records_the_container_spans(monkeypatch):
         "containers.first_kind",
         "containers.second_kind",
     } <= _traced_span_names(monkeypatch, "closed_form")
+
+
+def test_traced_closed_form_records_both_can_cover_spans(monkeypatch):
+    assert {"oracle.can_cover.accept", "oracle.can_cover.reject"} <= _traced_span_names(monkeypatch, "closed_form")
