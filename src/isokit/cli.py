@@ -15,20 +15,10 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .containers import SpecialContainer, all_special_containers
-from .geo import (
-    DEFAULT_TOLERANCES,
-    CanonicalTriangle,
-    GeometryError,
-    Point,
-    ShapeClass,
-    Tolerances,
-    Triangle,
-    canonicalize,
-)
+from .geo import CanonicalTriangle, GeometryError, Point, ShapeClass, Triangle, canonicalize
 from .minimize import (
     MinimizerResult,
     alpha_star,
@@ -37,7 +27,6 @@ from .minimize import (
     minimum_isosceles_container,
     ratio_curves,
     t_star,
-    triangle_at_crossing,
 )
 # verify_triangle stays importable from here: perfbench's tracer wraps it by
 # this name
@@ -148,7 +137,7 @@ def _floats(value, count: int) -> bool:
     return isinstance(value, list) and len(value) == count and all(isinstance(v, float) for v in value)
 
 
-def _triangle_from_json(path: str, tol: Tolerances) -> CanonicalTriangle:
+def _triangle_from_json(path: str) -> CanonicalTriangle:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # integers parse as floats too (too large ones as inf), so that
@@ -163,17 +152,17 @@ def _triangle_from_json(path: str, tol: Tolerances) -> CanonicalTriangle:
         raise ValueError(f"{path}: missing 'triangle' object")
     if "sides" in tri:
         if _floats(tri["sides"], 3):
-            return triangle_from_sides(*tri["sides"], tol)
+            return triangle_from_sides(*tri["sides"])
     elif "vertices" in tri:
         pts = tri["vertices"]
         if isinstance(pts, list) and len(pts) == 3 and all(_floats(p, 2) for p in pts):
-            return canonicalize(Triangle(*(Point(x, y) for x, y in pts)), tol)
+            return canonicalize(Triangle(*(Point(x, y) for x, y in pts)))
     else:
         raise ValueError(f"{path}: triangle needs 'sides' or 'vertices'")
     raise ValueError(f"{path}: 'sides' must be 3 numbers and 'vertices' 3 [x, y] pairs")
 
 
-def _resolve_triangle(args: argparse.Namespace, tol: Tolerances) -> CanonicalTriangle:
+def _resolve_triangle(args: argparse.Namespace) -> CanonicalTriangle:
     """Exactly one input representation must be present."""
     given = [f"--{name}" for name in ("sides", "vertices", "angles", "preset", "json") if getattr(args, name)]
     if len(given) != 1:
@@ -183,11 +172,11 @@ def _resolve_triangle(args: argparse.Namespace, tol: Tolerances) -> CanonicalTri
         )
     if args.sides:
         a, b, c = _parse_floats(args.sides, 3, "--sides")
-        return triangle_from_sides(a, b, c, tol)
+        return triangle_from_sides(a, b, c)
     if args.vertices:
         vals = _parse_floats(args.vertices, 6, "--vertices")
         pts = [Point(vals[0], vals[1]), Point(vals[2], vals[3]), Point(vals[4], vals[5])]
-        return canonicalize(Triangle(*pts), tol)
+        return canonicalize(Triangle(*pts))
     if args.angles:
         alpha_deg, beta_deg = _parse_floats(args.angles, 2, "--angles")
         alpha, beta = math.radians(alpha_deg), math.radians(beta_deg)
@@ -195,10 +184,10 @@ def _resolve_triangle(args: argparse.Namespace, tol: Tolerances) -> CanonicalTri
             raise ValueError(
                 f"--angles: need alpha > 0, beta > 0, alpha + beta < 180, got {alpha_deg}, {beta_deg}"
             )
-        return triangle_from_angles(alpha, beta, args.scale, tol)
+        return triangle_from_angles(alpha, beta, args.scale)
     if args.preset:
-        return t_star(tol)
-    return _triangle_from_json(args.json, tol)
+        return t_star()
+    return _triangle_from_json(args.json)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -217,9 +206,8 @@ def _triangle_line(t: dict) -> str:
 
 
 def cmd_containers(args: argparse.Namespace) -> Outcome:
-    tol = args.tolerances
-    ct = _resolve_triangle(args, tol)
-    report = containers_report(ct, all_special_containers(ct, tol) if ct.shape_class is ShapeClass.SCALENE else [])
+    ct = _resolve_triangle(args)
+    report = containers_report(ct, all_special_containers(ct) if ct.shape_class is ShapeClass.SCALENE else [])
     lines = [_triangle_line(report["triangle"])]
     if report["self_container"]:
         lines.append("isosceles: self-container (the triangle is its own minimum isosceles container)")
@@ -235,9 +223,8 @@ def cmd_containers(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_min(args: argparse.Namespace) -> Outcome:
-    tol = args.tolerances
-    ct = _resolve_triangle(args, tol)
-    report = min_report(ct, minimum_isosceles_container(ct, tol))
+    ct = _resolve_triangle(args)
+    report = min_report(ct, minimum_isosceles_container(ct))
     lines = [
         _triangle_line(report["triangle"]),
         f"minimizer: {', '.join(report['minimizers'])} (count {report['count']})",
@@ -252,13 +239,14 @@ def cmd_min(args: argparse.Namespace) -> Outcome:
 def cmd_verify(args: argparse.Namespace) -> Outcome:
     """Sample, verify and aggregate one batch; a fixed seed makes the run,
     its summary and its report bytes fully deterministic."""
-    seed = int(os.environ.get("ISOKIT_SEED", "0")) if args.seed is None else args.seed
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if math.isnan(args.gap_tol):
+        raise ValueError("--gap-tol must be a number, got nan")
     triangles = sample_canonical_triangles(
-        seed, args.samples, math.radians(args.min_angle), math.radians(args.scalene_margin), args.tolerances
+        args.seed, args.samples, math.radians(args.min_angle), math.radians(args.scalene_margin)
     )
-    reports = verify_triangles(triangles, args.tolerances)
+    reports = verify_triangles(triangles)
     gaps = [r.relative_gap for r in reports]
     worst = max(range(len(gaps)), key=lambda i: abs(gaps[i]))  # the first on ties
     rates = {
@@ -266,7 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         for name in sorted(reports[0].flags)
     }
     report = _report(
-        seed=seed,
+        seed=args.seed,
         samples=args.samples,
         max_relative_gap=max(gaps),
         min_relative_gap=min(gaps),
@@ -295,14 +283,13 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     return report, lines, EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _extremal_sqrt2(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    tol = args.tolerances
+def _extremal_sqrt2() -> tuple[dict, list[str]]:
     rows = []
     lines = ["beta_deg  crossing_deg  ratio_at_crossing  sqrt2_minus_ratio"]
     for beta_deg in (16.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25):
         beta = math.radians(beta_deg)
-        _, z = ratio_curves(beta, n_samples=8)
-        ratio = minimum_isosceles_container(triangle_at_crossing(beta, tol), tol).min_ratio
+        _, z = ratio_curves(beta, n_samples=3)
+        ratio = minimum_isosceles_container(triangle_from_angles(z, beta)).min_ratio
         row = {"beta_deg": beta_deg, "crossing_deg": math.degrees(z), "ratio": ratio}
         rows.append(row)
         lines.append(
@@ -313,15 +300,15 @@ def _extremal_sqrt2(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return {"sweep": rows, "supremum": SQRT2}, lines
 
 
-def _extremal_golden(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _extremal_golden() -> tuple[dict, list[str]]:
     # sweep the parabola c = b^2 toward b = phi
     rows = [{"b": b, "r": first_kind_ratio(b, b * b)} for b in (PHI - 10.0 ** (-k) for k in range(1, 7))]
     b = PHI - 1e-3
-    ct = triangle_from_sides(1.0, b, b * b, args.tolerances)
+    ct = triangle_from_sides(1.0, b, b * b)
     body = {
         "sweep": rows,
         "first_kind_min_at_exhibit": first_kind_ratio(b, b * b),
-        "overall_min_at_exhibit": minimum_isosceles_container(ct, args.tolerances).min_ratio,
+        "overall_min_at_exhibit": minimum_isosceles_container(ct).min_ratio,
         "supremum": PHI,
     }
     lines = ["b  r(b, b^2)  phi_minus_r"]
@@ -334,14 +321,14 @@ def _extremal_golden(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return body, lines
 
 
-def _extremal_alpha_star(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _extremal_alpha_star() -> tuple[dict, list[str]]:
     root = alpha_star()
-    ct = t_star(args.tolerances)
+    ct = t_star()
     body = {
         "alpha_star": root,
         "alpha_star_deg": math.degrees(root),
         "residual": alpha_star_equation(root),
-        "tie_count": len(minimum_isosceles_container(ct, args.tolerances).minimizers),
+        "tie_count": len(minimum_isosceles_container(ct).minimizers),
     }
     lines = [
         f"alpha* = {body['alpha_star_deg']:.10f} deg ({root:.12f} rad)",
@@ -357,19 +344,18 @@ _EXTREMAL_MODES = {"sqrt2": _extremal_sqrt2, "golden": _extremal_golden, "alpha_
 
 
 def cmd_extremal(args: argparse.Namespace) -> Outcome:
-    body, lines = _EXTREMAL_MODES[args.mode](args)
+    body, lines = _EXTREMAL_MODES[args.mode]()
     return _report(mode=args.mode, **body), lines, EXIT_OK
 
 
 def cmd_svg(args: argparse.Namespace) -> Outcome:
     """Writes the figure to --out itself; it has no JSON report."""
-    tol = args.tolerances
-    ct = _resolve_triangle(args, tol)
+    ct = _resolve_triangle(args)
     if ct.shape_class is not ShapeClass.SCALENE:
         raise ValueError("svg needs a scalene triangle (isosceles input is its own container)")
-    containers = all_special_containers(ct, tol)
+    containers = all_special_containers(ct)
     if args.which == "min":
-        result = minimum_isosceles_container(ct, tol)
+        result = minimum_isosceles_container(ct)
         chosen = [sc for sc in containers if any(sc.label == m.label for m in result.minimizers)]
     elif args.which == "all":
         chosen = containers
@@ -411,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands["verify"]
     p.add_argument("--samples", type=int, default=100, help="number of random triangles (default 100)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $ISOKIT_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--min-angle", type=float, default=math.degrees(DEFAULT_MIN_ANGLE), help="sampling: minimum angle in degrees (default 5)")
     p.add_argument("--scalene-margin", type=float, default=math.degrees(DEFAULT_SCALENE_MARGIN), help="sampling: pairwise angle margin in degrees (default 1)")
     p.add_argument("--gap-tol", type=float, default=1e-3, help="max allowed relative gap (default 1e-3)")
@@ -420,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     commands["svg"].add_argument("--which", default="all", choices=["all", "first", "second", "third", "min"], help="container selector (default all)")
 
     for name, p in commands.items():
-        p.add_argument("--tol", type=float, default=None, help="override relative tolerances (default 1e-9)")
         if name == "svg":
             p.add_argument("--out", required=True, help="output SVG path")
         else:
@@ -428,18 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances_from(x: float | None) -> Tolerances:
-    if x is None:
-        return DEFAULT_TOLERANCES
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"--tol must be in (0, 1), got {x}")
-    return Tolerances(eps_len=x, eps_angle=x, eps_num=x, eps_tie=x)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tolerances = _tolerances_from(args.tol)
         report, lines, code = args.func(args)
         print("\n".join(lines))
         if report is not None and args.out:

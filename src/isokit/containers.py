@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .geo import DEFAULT_TOLERANCES, CanonicalTriangle, Point, Tolerances, Triangle, _check_scalene
+from .geo import DEFAULT_TOLERANCES, CanonicalTriangle, Point, Triangle, _check_scalene
 
 __all__ = [
     "Kind",
@@ -152,21 +152,21 @@ def second_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     return _build(ct, _KINDS[Kind.SECOND])
 
 
-def third_kind(
-    ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[SpecialContainer]:
+def third_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The third-kind containers: all three when gamma is acute, else only
     the one replacing C.
 
     At gamma exactly 90 degrees the constructions replacing A or B run to
-    infinity, so within `tol.eps_angle` of the right angle they are excluded
-    and a `NearRightAngleWarning` flags the tolerance sensitivity.
+    infinity, so within ``DEFAULT_TOLERANCES.eps_angle`` radians of the
+    right angle they are excluded and a `NearRightAngleWarning` flags the
+    tolerance sensitivity.
     """
+    eps = DEFAULT_TOLERANCES.eps_angle
     variants = _KINDS[Kind.THIRD]
-    if not ct.gamma < 0.5 * math.pi - tol.eps_angle:
+    if not ct.gamma < 0.5 * math.pi - eps:
         variants = variants[2:]  # ABCbar alone
     out = _build(ct, variants)
-    if abs(ct.gamma - 0.5 * math.pi) < tol.eps_angle:
+    if abs(ct.gamma - 0.5 * math.pi) < eps:
         warnings.warn(
             "largest angle is within tolerance of 90 degrees; the containers "
             "replacing A or B are excluded but numerically unstable nearby",
@@ -176,8 +176,6 @@ def third_kind(
     return out
 
 
-def all_special_containers(
-    ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[SpecialContainer]:
+def all_special_containers(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """All special containers: nine for acute input, seven otherwise."""
-    return first_kind(ct) + second_kind(ct) + third_kind(ct, tol)
+    return first_kind(ct) + second_kind(ct) + third_kind(ct)

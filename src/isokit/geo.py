@@ -55,16 +55,17 @@ _EPS_AREA_FACTOR = 1e-12
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle threaded explicitly through geometric decisions.
+    """The four fixed tolerances, each read by the one function it decides.
 
-    Each field decides one thing: ``eps_len`` (relative) which side lengths
-    count as equal in `canonicalize`, ``eps_angle`` (absolute radians) how
-    near 90 degrees `third_kind` drops the containers replacing A or B,
-    ``eps_num`` (relative) the slack of `can_cover`, and ``eps_tie``
-    (relative) which candidates tie as minimizers.  The degeneracy
-    threshold is not among them: it is the fixed ``_EPS_AREA_FACTOR`` times
-    the squared bounding-box diagonal, so functions that only check for
-    degeneracy take no tolerances.
+    ``eps_len`` (relative to the longest side) decides which side lengths
+    count as equal in `canonicalize`; ``eps_angle`` (absolute radians) how
+    near 90 degrees `third_kind` drops the containers replacing A or B;
+    ``eps_num`` (relative) the slack of `can_cover`; and ``eps_tie``
+    (relative) which candidates `minimum_isosceles_container` reports as
+    tied minimizers.  Only `DEFAULT_TOLERANCES` is ever built: no function
+    takes a tolerance argument.  The degeneracy threshold is not among
+    them: it is the fixed ``_EPS_AREA_FACTOR`` times the squared
+    bounding-box diagonal.
     """
 
     eps_len: float = 1e-9
@@ -186,7 +187,7 @@ def _angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
     return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
-def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalTriangle:
+def canonicalize(t: Triangle) -> CanonicalTriangle:
     """Relabel vertices so side lengths satisfy a <= b <= c.
 
     The relabeling is a vertex permutation only; the point set is unchanged.
@@ -195,7 +196,8 @@ def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> Canonical
     keeps the operation idempotent: a length is computed from the same two
     points whatever their labels (swapping them only flips the signs of the
     differences), so a second call sees the same keys.  Lengths within
-    `tol.eps_len` of each other only decide the shape class.
+    ``DEFAULT_TOLERANCES.eps_len * c`` of each other only decide the shape
+    class.
     """
     _check_nondegenerate(t)
 
@@ -206,9 +208,10 @@ def canonicalize(t: Triangle, tol: Tolerances = DEFAULT_TOLERANCES) -> Canonical
     A, B, C = (verts[i] for i in order)
     a, b, c = (opposite[i] for i in order)
 
-    eq_ab = abs(a - b) <= tol.eps_len * c
-    eq_bc = abs(b - c) <= tol.eps_len * c
-    eq_ac = abs(a - c) <= tol.eps_len * c
+    eps = DEFAULT_TOLERANCES.eps_len * c
+    eq_ab = abs(a - b) <= eps
+    eq_bc = abs(b - c) <= eps
+    eq_ac = abs(a - c) <= eps
     if eq_ac:
         shape = ShapeClass.EQUILATERAL
     elif eq_ab or eq_bc:

@@ -14,7 +14,6 @@ from .geo import (
     CanonicalTriangle,
     Point,
     ShapeClass,
-    Tolerances,
     Triangle,
     _check_scalene,
     canonicalize,
@@ -82,15 +81,14 @@ class MinimizerResult:
         return len(self.minimizers) == 1 and self.minimizers[0] is SELF_CONTAINER
 
 
-def minimum_isosceles_container(
-    ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> MinimizerResult:
+def minimum_isosceles_container(ct: CanonicalTriangle) -> MinimizerResult:
     """Minimum-area isosceles container(s) from the three-candidate set.
 
     Isosceles input short-circuits to the sentinel self-container with ratio
     1.  Otherwise exactly the candidates AB'C, ABC', AB1C are evaluated (the
     other six special containers are never minimal) and every candidate
-    within the relative tie tolerance of the best is reported.
+    within the relative tie tolerance ``DEFAULT_TOLERANCES.eps_tie`` of the
+    best is reported.
     """
     if ct.shape_class is not ShapeClass.SCALENE:
         return MinimizerResult(
@@ -103,7 +101,7 @@ def minimum_isosceles_container(
     ab1c = second_kind(ct)[0]
     candidates = (fk[0], fk[1], ab1c)  # AB'C, ABC', AB1C
     min_ratio = min(c.ratio for c in candidates)
-    minimizers = tuple(c for c in candidates if c.ratio <= min_ratio * (1.0 + tol.eps_tie))
+    minimizers = tuple(c for c in candidates if c.ratio <= min_ratio * (1.0 + DEFAULT_TOLERANCES.eps_tie))
     return MinimizerResult(
         min_area=min_ratio * ct.area,
         min_ratio=min_ratio,
@@ -153,7 +151,7 @@ def alpha_star() -> float:
     return _bisect(alpha_star_equation, *_ALPHA_BRACKET)
 
 
-def t_star(tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalTriangle:
+def t_star() -> CanonicalTriangle:
     """The unique triangle (up to similarity) with three distinct minimum
     area isosceles containers: angles a*, 180deg - 3a*, 2a*.
 
@@ -167,7 +165,7 @@ def t_star(tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalTriangle:
     A = Point(0.0, 0.0)
     B = Point(c, 0.0)
     C = Point(b * math.cos(al), b * math.sin(al))
-    return canonicalize(Triangle(A, B, C), tol)
+    return canonicalize(Triangle(A, B, C))
 
 
 def _eq1(b: float, c: float, alpha: float, beta: float) -> float:
@@ -242,14 +240,12 @@ def ratio_curves(
     return points, z
 
 
-def triangle_at_crossing(
-    beta: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CanonicalTriangle:
+def triangle_at_crossing(beta: float) -> CanonicalTriangle:
     """The triangle with angles (z, beta, pi - beta - z) at the ratio-curve
     crossing, unit circumdiameter.  Its minimum container ratio tends to
     sqrt(2) from below as beta -> 0."""
     _, z = ratio_curves(beta, n_samples=3)
-    return triangle_from_angles(z, beta, 1.0, tol)
+    return triangle_from_angles(z, beta)
 
 
 def first_kind_ratio(b: float, c: float) -> float:

@@ -22,7 +22,6 @@ from .geo import (
     DEFAULT_TOLERANCES,
     CanonicalTriangle,
     Point,
-    Tolerances,
     Triangle,
     _angle_between,
     _check_nondegenerate,
@@ -224,9 +223,7 @@ def _side_frame(pts: list[tuple[float, float]], i: int) -> list[tuple[float, flo
     return out
 
 
-def can_cover(
-    mover: Triangle, target: Triangle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def can_cover(mover: Triangle, target: Triangle) -> bool:
     """Can some rigid motion (rotations, translations, and reflections) of
     `mover` place it over `target`?
 
@@ -238,11 +235,12 @@ def can_cover(
     intersection, decided in closed form.
 
     The decision leans toward covering: with s the longest side of the two
-    triangles, a target vertex may lie up to ``eps_num * s**2 / |e|`` plus
-    ``eps_num * s`` outside a mover side e.  A target whose area exceeds
-    what those allowances let any configuration hold is rejected by an area
-    bound before the 2 x 3 x 3 configurations are tried; the bound answers
-    only where they would all answer False.  On perfbench's `closed_form`
+    triangles and eps_num from `DEFAULT_TOLERANCES`, a target vertex may lie
+    up to ``eps_num * s**2 / |e|`` plus ``eps_num * s`` outside a mover
+    side e.  A target whose area exceeds what those allowances let any
+    configuration hold is rejected by an area bound before the 2 x 3 x 3
+    configurations are tried; the bound answers only where they would all
+    answer False.  On perfbench's `closed_form`
     inputs a reject takes about 10 us and an accept about 16 us (Xeon,
     Python 3.11); the reject took 67 us with every configuration tried.
     """
@@ -253,8 +251,8 @@ def can_cover(
     target_ccw = _ccw_vertices(target)
     mover_sides = _side_lengths(mover_ccw)
     scale = max(*mover_sides, *_side_lengths(target_ccw))
-    slack = tol.eps_num * scale * scale  # cross products have area units
-    eps_u = tol.eps_num * scale
+    slack = DEFAULT_TOLERANCES.eps_num * scale * scale  # cross products have area units
+    eps_u = DEFAULT_TOLERANCES.eps_num * scale
     tiny = 1e-15 * scale
 
     # Area bound.  A configuration passes only if, for some slide, every
@@ -389,12 +387,12 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     }
 
 
-def _closed_forms(cts: Sequence[CanonicalTriangle], tol: Tolerances) -> list[MinimizerResult]:
+def _closed_forms(cts: Sequence[CanonicalTriangle]) -> list[MinimizerResult]:
     """The closed-form minimum of each of `cts`, after checking that every
     one is scalene."""
     for ct in cts:
         _check_scalene(ct)
-    return [minimum_isosceles_container(ct, tol) for ct in cts]
+    return [minimum_isosceles_container(ct) for ct in cts]
 
 
 def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
@@ -409,23 +407,22 @@ def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult
     )
 
 
-def verify_triangles(
-    cts: Iterable[CanonicalTriangle], tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[VerificationReport]:
+def verify_triangles(cts: Iterable[CanonicalTriangle]) -> list[VerificationReport]:
     """Compare the closed-form minimum against the brute-force oracle and
     check the boundary structure of the oracle's witness, for each of `cts`.
     The oracle searches all of them in one batch; every triangle is checked
-    before the search.  `tol` reaches only the closed form, whose tie
-    margin it sets."""
+    before the search.  Of the four tolerances only ``eps_tie`` applies,
+    through the closed form's tie margin: the search takes none, and the
+    witness checks use their own fixed ``_EPS_GEOM``."""
     cts = list(cts)
-    closed = _closed_forms(cts, tol)
+    closed = _closed_forms(cts)
     oracles = brute_force_min_isosceles_batch([ct.tri for ct in cts])
     return [_report(*case) for case in zip(cts, closed, oracles)]
 
 
-def verify_triangle(ct: CanonicalTriangle, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
+def verify_triangle(ct: CanonicalTriangle) -> VerificationReport:
     """`verify_triangles` for one triangle.  It calls the oracle through
     `brute_force_min_isosceles`, so a caller that wraps that function (the
     benchmark's tracer does) still sees single searches."""
-    (closed,) = _closed_forms([ct], tol)
+    (closed,) = _closed_forms([ct])
     return _report(ct, closed, brute_force_min_isosceles(ct.tri))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .geo import DEFAULT_TOLERANCES, CanonicalTriangle, Point, Tolerances, Triangle, canonicalize
+from .geo import CanonicalTriangle, Point, Triangle, canonicalize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,17 +63,14 @@ def sample_scalene_angles(
     return alpha, beta, math.pi - alpha - beta
 
 
-def triangle_from_angles(
-    alpha: float,
-    beta: float,
-    scale: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> CanonicalTriangle:
+def triangle_from_angles(alpha: float, beta: float, scale: float = 1.0) -> CanonicalTriangle:
     """Triangle with the given two angles (third is pi - alpha - beta) and
-    circumdiameter `scale`, longest-side-on-x-axis position."""
+    circumdiameter `scale` (positive), longest-side-on-x-axis position."""
     gamma = math.pi - alpha - beta
     if min(alpha, beta, gamma) <= 0.0:
         raise ValueError(f"angles must be positive with alpha + beta < pi, got {alpha}, {beta}")
+    if not scale > 0.0:
+        raise ValueError(f"scale (circumdiameter) must be positive, got {scale}")
     b = scale * math.sin(beta)
     c = scale * math.sin(gamma)
     tri = Triangle(
@@ -81,12 +78,10 @@ def triangle_from_angles(
         Point(c, 0.0),
         Point(b * math.cos(alpha), b * math.sin(alpha)),
     )
-    return canonicalize(tri, tol)
+    return canonicalize(tri)
 
 
-def triangle_from_sides(
-    a: float, b: float, c: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CanonicalTriangle:
+def triangle_from_sides(a: float, b: float, c: float) -> CanonicalTriangle:
     """Triangle with the given side lengths, first side on the x-axis."""
     if min(a, b, c) <= 0.0:
         raise ValueError(f"side lengths must be positive, got {a}, {b}, {c}")
@@ -96,7 +91,7 @@ def triangle_from_sides(
     if y2 <= 0.0:
         raise ValueError(f"sides ({a}, {b}, {c}) violate the triangle inequality")
     tri = Triangle(Point(0.0, 0.0), Point(c, 0.0), Point(x, math.sqrt(y2)))
-    return canonicalize(tri, tol)
+    return canonicalize(tri)
 
 
 def sample_canonical_triangles(
@@ -104,7 +99,6 @@ def sample_canonical_triangles(
     count: int,
     min_angle: float = DEFAULT_MIN_ANGLE,
     scalene_margin: float = DEFAULT_SCALENE_MARGIN,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[CanonicalTriangle]:
     """Deterministic batch of scalene triangles, circumdiameter 1, for the
     given seed: the angles of `sample_scalene_angles`, all drawn in one call."""
@@ -112,4 +106,4 @@ def sample_canonical_triangles(
     import numpy as np
 
     alphas, betas = _draw_angles(np.random.default_rng(seed), count, min_angle, scalene_margin)
-    return [triangle_from_angles(a, b, 1.0, tol) for a, b in zip(alphas.tolist(), betas.tolist())]
+    return [triangle_from_angles(a, b) for a, b in zip(alphas.tolist(), betas.tolist())]

@@ -227,8 +227,8 @@ class TestVerify:
         # gaps stubbed onto real reports: case 1 and case 2 tie on |gap|
         gaps = [1e-13, -4e-13, 4e-13, 2e-13]
 
-        def with_gaps(cts, tol):
-            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts, tol), gaps)]
+        def with_gaps(cts):
+            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts), gaps)]
 
         monkeypatch.setattr(cli, "verify_triangles", with_gaps)
         path = tmp_path / "cases.json"
@@ -241,17 +241,6 @@ class TestVerify:
             "relative_gap": -4e-13,
         }
         assert out.splitlines()[-2].startswith("worst case: index 1, relative gap = -4e-13, vertices (0, 0) ")
-
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISOKIT_SEED", "5")
-        _, out_env, _ = run(capsys, "verify", "--samples", "3")
-        _, out_flag, _ = run(capsys, "verify", "--samples", "3", "--seed", "5")
-        assert out_env == out_flag
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISOKIT_SEED", "5")
-        _, out, _ = run(capsys, "verify", "--samples", "3", "--seed", "9")
-        assert "seed=9" in out
 
     def test_violation_exits_1(self, capsys, tmp_path):
         # the relative gap (oracle - closed) / closed exceeds -1 for every
@@ -376,7 +365,7 @@ class TestSvg:
 
 def test_option_list():
     # every option string of every subcommand: a new flag shows up here
-    common = {"-h", "--help", "--tol", "--out"}
+    common = {"-h", "--help", "--out"}
     triangle = {"--sides", "--vertices", "--angles", "--scale", "--preset", "--json"}
     expected = {
         "containers": common | triangle,

@@ -39,7 +39,6 @@ _TRIANGLES = [
     ["--angles", "50,60", "--scale", "2"],
     ["--vertices", "0,0,4,0,1,3"],
     ["--preset", "t-star"],
-    ["--sides", "4,5,6", "--tol", "1e-6"],
     ["--json", "in.json"],
 ]
 
@@ -64,9 +63,10 @@ CASES = (
         ["containers", "--sides", "1,2,3"],
         ["min", "--angles", "120,70"],
         ["min", "--vertices", "0,0,1,0,2,0"],
-        ["min", "--sides", "3,4,5", "--tol", "2"],
+        ["min", "--angles", "50,60", "--scale", "-2"],
         ["verify", "--samples", "0"],
         ["verify", "--samples", "1", "--min-angle", "60"],
+        ["verify", "--gap-tol", "nan"],
         ["min", "--json", "bad.json"],
         ["min", "--json", "empty.json"],
         # exit 3: I/O error

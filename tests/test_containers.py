@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -149,6 +150,28 @@ class TestThirdKind:
     def test_not_scalene(self):
         with pytest.raises(NotScalene):
             third_kind(triangle_from_sides(2.0, 3.0, 3.0))
+
+    def test_right_angle_cutoff_inside(self):
+        # eps_angle = 1e-9 is absolute, in radians: half of it below 90
+        # degrees keeps only ABCbar and warns
+        ct = triangle_from_angles(math.radians(40), math.radians(50) + 0.5e-9)
+        assert 0.5 * math.pi - ct.gamma == pytest.approx(0.5e-9, abs=1e-13)
+        with pytest.warns(NearRightAngleWarning):
+            out = third_kind(ct)
+        assert [sc.variant for sc in out] == [ContainerVariant.THIRD_AB_CBAR]
+
+    def test_right_angle_cutoff_outside(self):
+        # twice eps_angle below 90 degrees builds all three, silently
+        ct = triangle_from_angles(math.radians(40), math.radians(50) + 2e-9)
+        assert 0.5 * math.pi - ct.gamma == pytest.approx(2e-9, abs=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearRightAngleWarning)
+            out = third_kind(ct)
+        assert [sc.variant for sc in out] == [
+            ContainerVariant.THIRD_ABAR_BC,
+            ContainerVariant.THIRD_A_BBAR_C,
+            ContainerVariant.THIRD_AB_CBAR,
+        ]
 
 
 class TestSharedStructure:

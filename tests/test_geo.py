@@ -19,6 +19,7 @@ from isokit import (
     contains_triangle,
     min_triangle_for_shape,
     signed_area,
+    triangle_from_sides,
 )
 from isokit.geo import _angle_between
 from isokit.oracle import _corner
@@ -107,6 +108,18 @@ class TestCanonicalize:
     def test_collinear_raises(self):
         with pytest.raises(DegenerateTriangle):
             canonicalize(tri(0, 0, 1, 0, 2, 0))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("pair", ["ab", "bc"])
+    @pytest.mark.parametrize("gap, shape", [(0.5e-9, ShapeClass.ISOSCELES), (2e-9, ShapeClass.SCALENE)])
+    def test_shape_class_at_the_length_tolerance(self, scale, pair, gap, shape):
+        # eps_len = 1e-9 is relative to the longest side c: two sides that
+        # differ by half of eps_len * c tie, by twice of it they do not
+        a, b, c = (0.8 - gap, 0.8, 1.0) if pair == "ab" else (0.8, 1.0 - gap, 1.0)
+        ct = triangle_from_sides(a * scale, b * scale, c * scale)
+        near = ct.b - ct.a if pair == "ab" else ct.c - ct.b
+        assert near / ct.c == pytest.approx(gap, abs=1e-13)
+        assert ct.shape_class is shape
 
     @settings(max_examples=100, deadline=None)
     @given(t=triangles)

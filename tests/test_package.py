@@ -1,6 +1,8 @@
-"""Package-wide checks: the public names, and parameters nothing reads."""
+"""Package-wide checks: the public names, their parameters, and parameters
+nothing reads."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import isokit
@@ -14,6 +16,45 @@ def test_package_all_is_the_union_of_the_submodule_lists():
     assert len(names) == len(set(names))
     assert sorted(isokit.__all__) == sorted(names)
     assert all(hasattr(isokit, name) for name in names)
+
+
+# the parameter names of every public function: a new or renamed parameter
+# shows up here
+PUBLIC_PARAMETERS = {
+    "all_special_containers": ("ct",),
+    "alpha_star": (),
+    "alpha_star_equation": ("alpha",),
+    "area": ("t",),
+    "brute_force_min_isosceles": ("t",),
+    "brute_force_min_isosceles_batch": ("triangles",),
+    "can_cover": ("mover", "target"),
+    "canonicalize": ("t",),
+    "contains_point": ("t", "p"),
+    "contains_triangle": ("outer", "inner"),
+    "eq1_residual": ("ct",),
+    "first_kind": ("ct",),
+    "first_kind_ratio": ("b", "c"),
+    "min_triangle_for_shape": ("t", "sp"),
+    "minimum_isosceles_container": ("ct",),
+    "ratio_curves": ("beta", "n_samples"),
+    "sample_canonical_triangles": ("seed", "count", "min_angle", "scalene_margin"),
+    "sample_scalene_angles": ("rng", "min_angle", "scalene_margin"),
+    "second_kind": ("ct",),
+    "signed_area": ("t",),
+    "t_star": (),
+    "third_kind": ("ct",),
+    "triangle_at_crossing": ("beta",),
+    "triangle_from_angles": ("alpha", "beta", "scale"),
+    "triangle_from_sides": ("a", "b", "c"),
+    "verify_triangle": ("ct",),
+    "verify_triangles": ("cts",),
+}
+
+
+def test_public_function_parameters():
+    functions = {name: getattr(isokit, name) for name in isokit.__all__ if inspect.isfunction(getattr(isokit, name))}
+    got = {name: tuple(inspect.signature(f).parameters) for name, f in functions.items()}
+    assert got == PUBLIC_PARAMETERS
 
 
 def _unread_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:

@@ -105,6 +105,13 @@ def test_triangle_from_angles_validation():
         triangle_from_angles(-0.1, 0.5)
 
 
+@pytest.mark.parametrize("scale", [-2.0, 0.0, math.nan])
+def test_triangle_from_angles_rejects_nonpositive_scale(scale):
+    # a negative circumdiameter would build the reflected triangle
+    with pytest.raises(ValueError, match="scale"):
+        triangle_from_angles(math.radians(50), math.radians(60), scale)
+
+
 def test_triangle_from_sides_validation():
     with pytest.raises(ValueError):
         triangle_from_sides(1.0, 2.0, 3.5)
