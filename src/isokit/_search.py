@@ -33,11 +33,9 @@ def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray
     the two legs and the base of the isosceles shape with apex angle `delta`
     and axis direction `psi`.
 
-    `x` and `y` hold the vertex coordinates with the vertex axis first; the
-    rest of their shape broadcasts against `delta` and `psi`, so one
-    triangle's coordinates have shape (3,) and a batch's (3, N, 1, ..., 1).
-    The leg normals point along psi -/+ (pi/2 - delta/2), the base normal
-    along psi + pi.
+    `x` and `y` hold a batch's vertex coordinates, shape (3, N, 1, 1), and
+    broadcast against `delta` and `psi`.  The leg normals point along
+    psi -/+ (pi/2 - delta/2), the base normal along psi + pi.
     """
     sh, ch = np.sin(0.5 * delta), np.cos(0.5 * delta)
     ux, uy = np.cos(psi), np.sin(psi)
@@ -53,7 +51,6 @@ def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray
         dot += ny * yv
         h = dot if h is None else np.maximum(h, dot, out=h)
     return h[0], h[1], h[2]
-
 
 
 def _shape_frame(

@@ -25,7 +25,7 @@ from .minimize import (
     alpha_star_equation,
     first_kind_ratio,
     minimum_isosceles_container,
-    ratio_curves,
+    ratio_crossing,
     t_star,
 )
 # verify_triangle stays importable from here: perfbench's tracer wraps it by
@@ -288,7 +288,7 @@ def _extremal_sqrt2() -> tuple[dict, list[str]]:
     lines = ["beta_deg  crossing_deg  ratio_at_crossing  sqrt2_minus_ratio"]
     for beta_deg in (16.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25):
         beta = math.radians(beta_deg)
-        _, z = ratio_curves(beta, n_samples=3)
+        z = ratio_crossing(beta)
         ratio = minimum_isosceles_container(triangle_from_angles(z, beta)).min_ratio
         row = {"beta_deg": beta_deg, "crossing_deg": math.degrees(z), "ratio": ratio}
         rows.append(row)

@@ -27,13 +27,12 @@ __all__ = [
     "InvalidSides",
     "SELF_CONTAINER",
     "MinimizerResult",
-    "ExtremalCurvePoint",
     "minimum_isosceles_container",
     "alpha_star_equation",
     "alpha_star",
     "t_star",
     "eq1_residual",
-    "ratio_curves",
+    "ratio_crossing",
     "triangle_at_crossing",
     "first_kind_ratio",
 ]
@@ -168,84 +167,43 @@ def t_star() -> CanonicalTriangle:
     return canonicalize(Triangle(A, B, C))
 
 
-def _eq1(b: float, c: float, alpha: float, beta: float) -> float:
-    return (c - b) * math.sin(alpha + beta) - b * math.sin(beta - alpha)
-
-
 def eq1_residual(ct: CanonicalTriangle) -> float:
     """(c - b)*sin(alpha + beta) - b*sin(beta - alpha).
 
     Zero exactly when the containers ABC' and AB1C have equal area.
     """
     _check_scalene(ct)
-    return _eq1(ct.b, ct.c, ct.alpha, ct.beta)
+    return (ct.c - ct.b) * math.sin(ct.alpha + ct.beta) - ct.b * math.sin(ct.beta - ct.alpha)
 
 
-@dataclass(frozen=True)
-class ExtremalCurvePoint:
-    """One sample of the competing ratio curves at fixed beta.
+def ratio_crossing(beta: float) -> float:
+    """The angle z in (0, beta) where the two ratio curves at fixed beta
+    cross, by bisection on alpha.
 
-    ratio_f = c/b = sin(gamma)/sin(beta) is the ABC' ratio (increasing in
-    alpha); ratio_g = 1/(1/2 + tan(alpha)/(2 tan(beta))) is the AB1C ratio
-    (decreasing).  eq1_residual is evaluated at unit circumdiameter.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    ratio_f: float
-    ratio_g: float
-    eq1_residual: float
-
-
-def _curve_point(alpha: float, beta: float) -> ExtremalCurvePoint:
-    gamma = math.pi - alpha - beta
-    b = math.sin(beta)
-    c = math.sin(gamma)
-    return ExtremalCurvePoint(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        ratio_f=c / b,
-        ratio_g=1.0 / (0.5 + math.tan(alpha) / (2.0 * math.tan(beta))),
-        eq1_residual=_eq1(b, c, alpha, beta),
-    )
-
-
-def ratio_curves(
-    beta: float, n_samples: int = 64
-) -> tuple[list[ExtremalCurvePoint], float]:
-    """Sample the two ratio curves on alpha in (0, beta) and locate their
-    unique crossing z by bisection.
-
-    Only the regime beta < 45 degrees is meaningful (there gamma > 90
+    The ABC' ratio c/b = sin(gamma)/sin(beta) increases in alpha and the
+    AB1C ratio 1/(1/2 + tan(alpha)/(2 tan(beta))) decreases, so they cross
+    once.  Only the regime beta < 45 degrees is meaningful (there gamma > 90
     degrees, so the minimum is contested between ABC' and AB1C).  At the
     crossing, (c/b)^2 = 2*cos(z) < 2, which is how the sqrt(2) supremum
     emerges as beta -> 0.
     """
     if not 0.0 < beta < 0.25 * math.pi:
         raise InvalidRegime(f"beta must be in (0, 45deg), got {beta} rad")
-    if n_samples < 3:
-        raise ValueError(f"n_samples must be >= 3, got {n_samples}")
     eps = 1e-6 * beta
-    lo, hi = eps, beta - eps
-    step = (hi - lo) / (n_samples - 1)
-    points = [_curve_point(lo + i * step, beta) for i in range(n_samples)]
 
     def diff(alpha: float) -> float:
-        p = _curve_point(alpha, beta)
-        return p.ratio_f - p.ratio_g
+        ratio_f = math.sin(math.pi - alpha - beta) / math.sin(beta)
+        ratio_g = 1.0 / (0.5 + math.tan(alpha) / (2.0 * math.tan(beta)))
+        return ratio_f - ratio_g
 
-    z = _bisect(diff, lo, hi)
-    return points, z
+    return _bisect(diff, eps, beta - eps)
 
 
 def triangle_at_crossing(beta: float) -> CanonicalTriangle:
     """The triangle with angles (z, beta, pi - beta - z) at the ratio-curve
     crossing, unit circumdiameter.  Its minimum container ratio tends to
     sqrt(2) from below as beta -> 0."""
-    _, z = ratio_curves(beta, n_samples=3)
-    return triangle_from_angles(z, beta)
+    return triangle_from_angles(ratio_crossing(beta), beta)
 
 
 def first_kind_ratio(b: float, c: float) -> float:

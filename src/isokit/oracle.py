@@ -36,7 +36,6 @@ __all__ = [
     "ShapeParams",
     "OracleResult",
     "VerificationReport",
-    "min_triangle_for_shape",
     "brute_force_min_isosceles",
     "brute_force_min_isosceles_batch",
     "can_cover",
@@ -127,20 +126,6 @@ def _witness_vertices(
     return Triangle(to_point(xi_apex, eta_apex), to_point(xi_base, eta_1), to_point(xi_base, eta_2))
 
 
-def min_triangle_for_shape(t: Triangle, sp: ShapeParams) -> Triangle:
-    """Smallest isosceles triangle of the given shape/orientation containing
-    `t`: the triangle bounded by the three supporting lines of `t` at the
-    shape's outward side normals.  Every side touches `t`.
-    """
-    _check_nondegenerate(t)
-    # imported on first use, so that `import isokit` does not load numpy
-    from ._search import _shape_frame, _side_supports
-
-    p, _, _, ((cx, cy, s),) = _shape_frame([t])
-    h = _side_supports(p[0, :, 0], p[0, :, 1], sp.apex_angle, sp.rotation)
-    return _witness_vertices((cx, cy), tuple(float(g) * s for g in h), sp)
-
-
 def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[OracleResult]:
     """Minimum-area isosceles triangle containing each of `triangles`, by an
     exact search over (apex angle, axis direction) that does not use the
@@ -164,11 +149,10 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     result does not depend on the rest of the batch.  `min_area` is the
     least area the search found on that copy, scaled back.  The witness is
     the container bounded by the support values that area came from, as
-    the search computed them (`min_triangle_for_shape` builds the same
-    triangle from supports it computes itself).  Every triangle is checked
-    before the search, against the fixed degeneracy threshold of
-    `canonicalize`; the search itself takes no tolerances.  Deterministic:
-    ties go to the first candidate.
+    the search computed them.  Every triangle is checked before the search,
+    against the fixed degeneracy threshold of `canonicalize`; the search
+    itself takes no tolerances.  Deterministic: ties go to the first
+    candidate.
     """
     triangles = list(triangles)
     if not triangles:
@@ -366,14 +350,18 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     ]
 
     # shared side + endpoint angle: at a shared vertex, one input side must
-    # run along a witness side and the opening angles must agree
-    cos_eps = math.cos(_EPS_GEOM)
+    # run along a witness side, judged by the sine of the angle between the
+    # unit rays (its cosine rounds to 1 below about 1e-8 rad), and the
+    # opening angles must agree
+    sin_eps = math.sin(_EPS_GEOM)
     shares = False
     for vi, wj in shared_pairs:
         rays_in, angle_in = _corner(ins, vi)
         rays_w, angle_w = _corner(w, wj)
         if abs(angle_in - angle_w) <= _EPS_GEOM and any(
-            ri[0] * rw[0] + ri[1] * rw[1] >= cos_eps for ri in rays_in for rw in rays_w
+            abs(ri[0] * rw[1] - ri[1] * rw[0]) <= sin_eps and ri[0] * rw[0] + ri[1] * rw[1] > 0.0
+            for ri in rays_in
+            for rw in rays_w
         ):
             shares = True
             break

@@ -9,7 +9,6 @@ from isokit import (
     NonFinite,
     Point,
     ShapeClass,
-    ShapeParams,
     Triangle,
     area,
     brute_force_min_isosceles,
@@ -17,7 +16,6 @@ from isokit import (
     canonicalize,
     contains_point,
     contains_triangle,
-    min_triangle_for_shape,
     signed_area,
     triangle_from_sides,
 )
@@ -203,7 +201,6 @@ def test_signed_area_orientation():
 _ENTRY_POINTS = {
     "canonicalize": canonicalize,
     "brute_force_min_isosceles": brute_force_min_isosceles,
-    "min_triangle_for_shape": lambda t: min_triangle_for_shape(t, ShapeParams(apex_angle=1.0, rotation=0.3)),
     "can_cover": lambda t: can_cover(t, t),
     "contains_point": lambda t: contains_point(t, t.A),
 }

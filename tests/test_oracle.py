@@ -20,8 +20,6 @@ from isokit import (
     brute_force_min_isosceles_batch,
     can_cover,
     contains_triangle,
-    first_kind,
-    min_triangle_for_shape,
     minimum_isosceles_container,
     sample_canonical_triangles,
     t_star,
@@ -30,7 +28,7 @@ from isokit import (
     verify_triangle,
     verify_triangles,
 )
-from isokit import _search
+from isokit import _search, oracle
 from isokit.oracle import _witness_flags
 from isokit._search import (
     _candidate_apex_angles,
@@ -42,19 +40,6 @@ from isokit._search import (
 
 def dist(p, q):
     return math.hypot(p.x - q.x, p.y - q.y)
-
-
-def shape_of(tri: Triangle) -> ShapeParams:
-    """Apex angle and axis rotation of an isosceles triangle given as
-    (apex, base0, base1)."""
-    apex, b0, b1 = tri.vertices
-    v0 = (b0.x - apex.x, b0.y - apex.y)
-    v1 = (b1.x - apex.x, b1.y - apex.y)
-    cosang = (v0[0] * v1[0] + v0[1] * v1[1]) / (math.hypot(*v0) * math.hypot(*v1))
-    apex_angle = math.acos(max(-1.0, min(1.0, cosang)))
-    mx, my = 0.5 * (b0.x + b1.x), 0.5 * (b0.y + b1.y)
-    rotation = math.atan2(apex.y - my, apex.x - mx)
-    return ShapeParams(apex_angle=apex_angle, rotation=rotation)
 
 
 @pytest.fixture(scope="module")
@@ -75,53 +60,6 @@ class TestShapeParams:
         assert sp.rotation == pytest.approx(2 * math.pi - 1.0, rel=1e-12)
 
 
-class TestMinTriangleForShape:
-    def test_equilateral_reproduces_itself(self):
-        t = Triangle(Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2))
-        # treat the top vertex as the apex
-        sp = shape_of(Triangle(t.C, t.A, t.B))
-        out = min_triangle_for_shape(t, sp)
-        assert area(out) == pytest.approx(area(t), rel=1e-12)
-        got = sorted((round(p.x, 9), round(p.y, 9)) for p in out.vertices)
-        want = sorted((round(p.x, 9), round(p.y, 9)) for p in t.vertices)
-        assert got == want
-
-    def test_abc_prime_shape_gives_75(self, t345):
-        # the ABC' container is isosceles with apex A; feeding its shape back
-        # through the supporting-line construction must reproduce area 7.5
-        abc_prime = first_kind(t345)[1]
-        tri = abc_prime.tri
-        sp = shape_of(Triangle(tri.A, tri.B, tri.C))
-        out = min_triangle_for_shape(t345.tri, sp)
-        assert area(out) == pytest.approx(7.5, rel=1e-9)
-
-    def test_sides_touch(self, t345):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            sp = ShapeParams(
-                apex_angle=rng.uniform(0.1, math.pi - 0.1),
-                rotation=rng.uniform(0, 2 * math.pi),
-            )
-            out = min_triangle_for_shape(t345.tri, sp)
-            assert contains_triangle(out, t345.tri)
-            w = out.vertices
-            for i in range(3):
-                q0, q1 = w[i], w[(i + 1) % 3]
-                ex, ey = q1.x - q0.x, q1.y - q0.y
-                ln = math.hypot(ex, ey)
-                dmin = min(
-                    abs((p.x - q0.x) * ey - (p.y - q0.y) * ex) / ln
-                    for p in t345.tri.vertices
-                )
-                assert dmin <= 1e-9 * ln
-
-    def test_isosceles_output(self, t345):
-        sp = ShapeParams(apex_angle=1.0, rotation=0.3)
-        out = min_triangle_for_shape(t345.tri, sp)
-        apex, b0, b1 = out.vertices
-        assert dist(apex, b0) == pytest.approx(dist(apex, b1), rel=1e-12)
-
-
 class TestBruteForce:
     def test_345(self, t345):
         res = brute_force_min_isosceles(t345.tri)
@@ -129,9 +67,13 @@ class TestBruteForce:
         assert contains_triangle(res.witness, t345.tri)
 
     def test_equilateral(self):
+        # an isosceles triangle is its own minimum container
         t = Triangle(Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2))
         res = brute_force_min_isosceles(t)
-        assert res.min_area == pytest.approx(math.sqrt(3) / 4, rel=1e-6)
+        assert res.min_area == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
+        got = sorted((round(p.x, 9), round(p.y, 9)) for p in res.witness.vertices)
+        want = sorted((round(p.x, 9), round(p.y, 9)) for p in t.vertices)
+        assert got == want
 
     def test_t_star_matches_tie(self):
         ts = t_star()
@@ -480,7 +422,11 @@ def reference_witness_flags(ct, witness, eps_geom=1e-5):
         angle_w = math.acos(max(-1.0, min(1.0, r_w[0][0] * r_w[1][0] + r_w[0][1] * r_w[1][1])))
         if abs(angle_in - angle_w) > eps_geom:
             continue
-        if any(ri[0] * rw[0] + ri[1] * rw[1] >= math.cos(eps_geom) for ri in r_in for rw in r_w):
+        if any(
+            abs(ri[0] * rw[1] - ri[1] * rw[0]) <= math.sin(eps_geom) and ri[0] * rw[0] + ri[1] * rw[1] > 0.0
+            for ri in r_in
+            for rw in r_w
+        ):
             shares = True
             break
 
@@ -500,6 +446,15 @@ class TestWitnessFlags:
     def test_sampler_matches_reference(self, seed):
         for rep in verify_triangles(sample_canonical_triangles(seed=seed, count=2000)):
             assert rep.flags == reference_witness_flags(rep.input, rep.oracle_result.witness)
+
+    def test_fine_tolerance_shares_side_and_angle(self, monkeypatch):
+        # with the tolerance at 1e-8 rad, the cosine of the angle between two
+        # rays rounds to 1 and no longer resolves it; the sine does.  Inputs
+        # 1293 and 1944 of seed 42 failed shares_side_and_angle that way.
+        monkeypatch.setattr(oracle, "_EPS_GEOM", 1e-8)
+        for rep in verify_triangles(sample_canonical_triangles(seed=42, count=2000)):
+            assert all(rep.flags.values()), rep.flags
+            assert rep.flags == reference_witness_flags(rep.input, rep.oracle_result.witness, eps_geom=1e-8)
 
     def test_nudged_witnesses_match_reference(self):
         # witnesses with one vertex moved, or grown about their centroid, by

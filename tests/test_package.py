@@ -34,9 +34,8 @@ PUBLIC_PARAMETERS = {
     "eq1_residual": ("ct",),
     "first_kind": ("ct",),
     "first_kind_ratio": ("b", "c"),
-    "min_triangle_for_shape": ("t", "sp"),
     "minimum_isosceles_container": ("ct",),
-    "ratio_curves": ("beta", "n_samples"),
+    "ratio_crossing": ("beta",),
     "sample_canonical_triangles": ("seed", "count", "min_angle", "scalene_margin"),
     "sample_scalene_angles": ("rng", "min_angle", "scalene_margin"),
     "second_kind": ("ct",),
@@ -55,6 +54,51 @@ def test_public_function_parameters():
     functions = {name: getattr(isokit, name) for name in isokit.__all__ if inspect.isfunction(getattr(isokit, name))}
     got = {name: tuple(inspect.signature(f).parameters) for name, f in functions.items()}
     assert got == PUBLIC_PARAMETERS
+
+
+# every other public name, by kind: a class, exception or constant that is
+# added or dropped shows up here
+PUBLIC_NON_FUNCTIONS = {
+    "BracketFailure": "exception",
+    "CanonicalTriangle": "class",
+    "ContainerVariant": "class",
+    "DEFAULT_MIN_ANGLE": "constant",
+    "DEFAULT_SCALENE_MARGIN": "constant",
+    "DEFAULT_TOLERANCES": "constant",
+    "DegenerateTriangle": "exception",
+    "GeometryError": "exception",
+    "InvalidRegime": "exception",
+    "InvalidSides": "exception",
+    "Kind": "class",
+    "MinimizerResult": "class",
+    "NearRightAngleWarning": "warning",
+    "NonFinite": "exception",
+    "NotScalene": "exception",
+    "OracleResult": "class",
+    "Point": "class",
+    "SELF_CONTAINER": "constant",
+    "ShapeClass": "class",
+    "ShapeParams": "class",
+    "SpecialContainer": "class",
+    "Tolerances": "class",
+    "Triangle": "class",
+    "UnboundedShape": "exception",
+    "VerificationReport": "class",
+}
+
+
+def _kind(obj) -> str:
+    if not inspect.isclass(obj):
+        return "constant"
+    if issubclass(obj, Warning):
+        return "warning"
+    return "exception" if issubclass(obj, BaseException) else "class"
+
+
+def test_public_non_function_names():
+    objects = {name: getattr(isokit, name) for name in isokit.__all__}
+    got = {name: _kind(obj) for name, obj in objects.items() if not inspect.isfunction(obj)}
+    assert got == PUBLIC_NON_FUNCTIONS
 
 
 def _unread_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:
