@@ -20,6 +20,7 @@ from isokit import (
     brute_force_min_isosceles_batch,
     can_cover,
     contains_triangle,
+    first_kind,
     minimum_isosceles_container,
     sample_canonical_triangles,
     t_star,
@@ -42,6 +43,19 @@ def dist(p, q):
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
+def shape_of(tri: Triangle) -> ShapeParams:
+    """Apex angle and axis rotation of an isosceles triangle given as
+    (apex, base0, base1)."""
+    apex, b0, b1 = tri.vertices
+    v0 = (b0.x - apex.x, b0.y - apex.y)
+    v1 = (b1.x - apex.x, b1.y - apex.y)
+    cosang = (v0[0] * v1[0] + v0[1] * v1[1]) / (math.hypot(*v0) * math.hypot(*v1))
+    apex_angle = math.acos(max(-1.0, min(1.0, cosang)))
+    mx, my = 0.5 * (b0.x + b1.x), 0.5 * (b0.y + b1.y)
+    rotation = math.atan2(apex.y - my, apex.x - mx)
+    return ShapeParams(apex_angle=apex_angle, rotation=rotation)
+
+
 @pytest.fixture(scope="module")
 def t345():
     return triangle_from_sides(3.0, 4.0, 5.0)
@@ -58,6 +72,56 @@ class TestShapeParams:
         sp = ShapeParams(apex_angle=1.0, rotation=-1.0)
         assert 0.0 <= sp.rotation < 2 * math.pi
         assert sp.rotation == pytest.approx(2 * math.pi - 1.0, rel=1e-12)
+
+
+class TestMinTriangleForShape:
+    """The supporting-line construction the oracle's search builds each
+    container from, for one given shape (see `conftest`)."""
+
+    def test_equilateral_reproduces_itself(self, min_triangle_for_shape):
+        t = Triangle(Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2))
+        # treat the top vertex as the apex
+        sp = shape_of(Triangle(t.C, t.A, t.B))
+        out = min_triangle_for_shape(t, sp)
+        assert area(out) == pytest.approx(area(t), rel=1e-12)
+        got = sorted((round(p.x, 9), round(p.y, 9)) for p in out.vertices)
+        want = sorted((round(p.x, 9), round(p.y, 9)) for p in t.vertices)
+        assert got == want
+
+    def test_abc_prime_shape_gives_75(self, t345, min_triangle_for_shape):
+        # the ABC' container is isosceles with apex A; feeding its shape back
+        # through the supporting-line construction must reproduce area 7.5
+        abc_prime = first_kind(t345)[1]
+        tri = abc_prime.tri
+        sp = shape_of(Triangle(tri.A, tri.B, tri.C))
+        out = min_triangle_for_shape(t345.tri, sp)
+        assert area(out) == pytest.approx(7.5, rel=1e-9)
+
+    def test_sides_touch(self, t345, min_triangle_for_shape):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            sp = ShapeParams(
+                apex_angle=rng.uniform(0.1, math.pi - 0.1),
+                rotation=rng.uniform(0, 2 * math.pi),
+            )
+            out = min_triangle_for_shape(t345.tri, sp)
+            assert contains_triangle(out, t345.tri)
+            w = out.vertices
+            for i in range(3):
+                q0, q1 = w[i], w[(i + 1) % 3]
+                ex, ey = q1.x - q0.x, q1.y - q0.y
+                ln = math.hypot(ex, ey)
+                dmin = min(
+                    abs((p.x - q0.x) * ey - (p.y - q0.y) * ex) / ln
+                    for p in t345.tri.vertices
+                )
+                assert dmin <= 1e-9 * ln
+
+    def test_isosceles_output(self, t345, min_triangle_for_shape):
+        sp = ShapeParams(apex_angle=1.0, rotation=0.3)
+        out = min_triangle_for_shape(t345.tri, sp)
+        apex, b0, b1 = out.vertices
+        assert dist(apex, b0) == pytest.approx(dist(apex, b1), rel=1e-12)
 
 
 class TestBruteForce:

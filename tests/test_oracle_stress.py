@@ -135,6 +135,19 @@ def witness_batch() -> list[Triangle]:
     ]
 
 
+def test_witness_matches_min_triangle_for_shape(min_triangle_for_shape):
+    # the batch builds each witness from the support values its own search
+    # computed; the supporting-line construction computes them again for
+    # the result's shape, so the two triangles may differ by rounding alone
+    batch = witness_batch()
+    for t, result in zip(batch, brute_force_min_isosceles_batch(batch)):
+        again = min_triangle_for_shape(t, result.params)
+        w = again.vertices
+        size = max(math.hypot(w[i].x - w[i - 1].x, w[i].y - w[i - 1].y) for i in range(3))
+        for p, q in zip(result.witness.vertices, w):
+            assert math.hypot(p.x - q.x, p.y - q.y) <= 1e-12 * size
+
+
 def test_witness_holds_input_and_sides_touch():
     # each witness side has every input vertex on its inner side and passes
     # through one of them, up to rounding: the search builds it from the
