@@ -69,7 +69,8 @@ _RAYS = {
     ContainerVariant.THIRD_A_BBAR_C: (Kind.THIRD, (2, 0, 1)),
     ContainerVariant.THIRD_AB_CBAR: (Kind.THIRD, (1, 0, 2)),
 }
-_KINDS = {kind: [v for v, (k, _) in _RAYS.items() if k is kind] for kind in Kind}
+# per kind, the (variant, p, q, r) rows of its containers in `_RAYS` order
+_ROWS = {kind: [(v, *pqr) for v, (k, pqr) in _RAYS.items() if k is kind] for kind in Kind}
 
 # display label of the new auxiliary point (Unicode, for figures)
 _NEW_VERTEX = {
@@ -117,39 +118,38 @@ class SpecialContainer:
         return _NEW_VERTEX[self.variant]
 
 
-def _container(ct: CanonicalTriangle, variant: ContainerVariant) -> SpecialContainer:
-    """The container PQX of `variant`, X = P + s*(R - P), with ratio s."""
-    kind, (p, q, r) = _RAYS[variant]
-    vertices = list(ct.tri.vertices)
-    P, Q, R = vertices[p], vertices[q], vertices[r]
+def _build(ct: CanonicalTriangle, kind: Kind, rows: list) -> list[SpecialContainer]:
+    """The containers PQX of `rows`, X = P + s*(R - P), each with ratio s."""
+    _check_scalene(ct)
+    A, B, C = vertices = ct.tri.vertices
     # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
     sides = (ct.a, ct.b, ct.c)
-    ex, ey = R.x - P.x, R.y - P.y
-    if kind is Kind.FIRST:
-        s = sides[r] / sides[q]
-    else:
-        dot = (Q.x - P.x) * ex + (Q.y - P.y) * ey
-        if kind is Kind.SECOND:
-            s = 2.0 * dot / (ex * ex + ey * ey)
+    out = []
+    for variant, p, q, r in rows:
+        P, Q, R = vertices[p], vertices[q], vertices[r]
+        ex, ey = R.x - P.x, R.y - P.y
+        if kind is Kind.FIRST:
+            s = sides[r] / sides[q]
         else:
-            s = sides[r] * sides[r] / (2.0 * dot)
-    vertices[r] = Point(P.x + ex * s, P.y + ey * s)
-    return SpecialContainer(variant, kind, Triangle(*vertices), area=s * ct.area, ratio=s)
-
-
-def _build(ct: CanonicalTriangle, variants: list[ContainerVariant]) -> list[SpecialContainer]:
-    _check_scalene(ct)
-    return [_container(ct, v) for v in variants]
+            dot = (Q.x - P.x) * ex + (Q.y - P.y) * ey
+            if kind is Kind.SECOND:
+                s = 2.0 * dot / (ex * ex + ey * ey)
+            else:
+                s = sides[r] * sides[r] / (2.0 * dot)
+        X = Point(P.x + ex * s, P.y + ey * s)
+        tri = Triangle(X, B, C) if r == 0 else Triangle(A, X, C) if r == 1 else Triangle(A, B, X)
+        out.append(SpecialContainer(variant, kind, tri, s * ct.area, s))  # area, ratio
+    return out
 
 
 def first_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three first-kind containers; area ratios are b/a, c/b, c/a."""
-    return _build(ct, _KINDS[Kind.FIRST])
+    return _build(ct, Kind.FIRST, _ROWS[Kind.FIRST])
 
 
 def second_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three second-kind containers; AB1C has ratio 2*b*cos(alpha)/c."""
-    return _build(ct, _KINDS[Kind.SECOND])
+    return _build(ct, Kind.SECOND, _ROWS[Kind.SECOND])
 
 
 def third_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
@@ -162,10 +162,10 @@ def third_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     tolerance sensitivity.
     """
     eps = DEFAULT_TOLERANCES.eps_angle
-    variants = _KINDS[Kind.THIRD]
+    rows = _ROWS[Kind.THIRD]
     if not ct.gamma < 0.5 * math.pi - eps:
-        variants = variants[2:]  # ABCbar alone
-    out = _build(ct, variants)
+        rows = rows[2:]  # ABCbar alone
+    out = _build(ct, Kind.THIRD, rows)
     if abs(ct.gamma - 0.5 * math.pi) < eps:
         warnings.warn(
             "largest angle is within tolerance of 90 degrees; the containers "

@@ -142,10 +142,6 @@ class CanonicalTriangle:
         return self.tri.C
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
 def signed_area(t: Triangle) -> float:
     """Shoelace area; positive when A, B, C wind counter-clockwise."""
     return 0.5 * (
@@ -158,19 +154,27 @@ def area(t: Triangle) -> float:
     return abs(signed_area(t))
 
 
-def _eps_area(*points: Point) -> float:
-    """Absolute degeneracy threshold for `points`: ``_EPS_AREA_FACTOR``
-    times the squared diagonal of their bounding box."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    diag2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
-    return _EPS_AREA_FACTOR * diag2
+def _span(u: float, v: float, w: float) -> float:
+    """max(u, v, w) - min(u, v, w), by comparisons: the builtins' calls
+    cost more than the rest of `_eps_area`."""
+    lo, hi = (u, v) if u < v else (v, u)
+    return (w if w > hi else hi) - (w if w < lo else lo)
 
 
-def _check_nondegenerate(t: Triangle) -> None:
-    """Raise `DegenerateTriangle` unless `t`'s area exceeds `_eps_area`."""
-    if area(t) <= _eps_area(*t.vertices):
-        raise DegenerateTriangle(f"triangle area {area(t)} is below threshold")
+def _eps_area(t: Triangle) -> float:
+    """Absolute degeneracy threshold for `t`: ``_EPS_AREA_FACTOR`` times the
+    squared diagonal of its bounding box."""
+    A, B, C = t.A, t.B, t.C
+    return _EPS_AREA_FACTOR * (_span(A.x, B.x, C.x) ** 2 + _span(A.y, B.y, C.y) ** 2)
+
+
+def _check_nondegenerate(t: Triangle) -> float:
+    """Raise `DegenerateTriangle` unless `t`'s area exceeds `_eps_area`;
+    return its `signed_area`."""
+    signed = signed_area(t)
+    if abs(signed) <= _eps_area(t):
+        raise DegenerateTriangle(f"triangle area {abs(signed)} is below threshold")
+    return signed
 
 
 def _check_scalene(ct: CanonicalTriangle) -> None:
@@ -201,12 +205,12 @@ def canonicalize(t: Triangle) -> CanonicalTriangle:
     """
     _check_nondegenerate(t)
 
-    verts = list(t.vertices)
-    # opposite[i] is the side not incident to verts[i]
-    opposite = [_dist(verts[(i + 1) % 3], verts[(i + 2) % 3]) for i in range(3)]
-    order = sorted(range(3), key=lambda i: (opposite[i], verts[i].x, verts[i].y))
-    A, B, C = (verts[i] for i in order)
-    a, b, c = (opposite[i] for i in order)
+    verts = t.vertices
+    x0, y0, x1, y1, x2, y2 = t.A.x, t.A.y, t.B.x, t.B.y, t.C.x, t.C.y
+    # dn is the length of the side opposite vertex n
+    d0, d1, d2 = math.hypot(x1 - x2, y1 - y2), math.hypot(x2 - x0, y2 - y0), math.hypot(x0 - x1, y0 - y1)
+    # exact length ties fall to the coordinates; the index ends the comparison
+    (a, ax, ay, i), (b, bx, by, j), (c, cx, cy, k) = sorted(((d0, x0, y0, 0), (d1, x1, y1, 1), (d2, x2, y2, 2)))
 
     eps = DEFAULT_TOLERANCES.eps_len * c
     eq_ab = abs(a - b) <= eps
@@ -219,10 +223,10 @@ def canonicalize(t: Triangle) -> CanonicalTriangle:
     else:
         shape = ShapeClass.SCALENE
 
-    alpha = _angle_between(B.x - A.x, B.y - A.y, C.x - A.x, C.y - A.y)
-    beta = _angle_between(C.x - B.x, C.y - B.y, A.x - B.x, A.y - B.y)
-    gamma = _angle_between(A.x - C.x, A.y - C.y, B.x - C.x, B.y - C.y)
-    tri = Triangle(A, B, C)
+    alpha = _angle_between(bx - ax, by - ay, cx - ax, cy - ay)
+    beta = _angle_between(cx - bx, cy - by, ax - bx, ay - by)
+    gamma = _angle_between(ax - cx, ay - cy, bx - cx, by - cy)
+    tri = Triangle(verts[i], verts[j], verts[k])
     return CanonicalTriangle(
         tri=tri,
         a=a,
@@ -243,10 +247,9 @@ def contains_point(t: Triangle, p: Point) -> bool:
     shared edges from flipping to "outside" under rounding.  The degeneracy
     test and the slack depend on `t` alone, not on where `p` lies.
     """
-    _check_nondegenerate(t)
-    orient = 1.0 if signed_area(t) > 0 else -1.0
+    orient = 1.0 if _check_nondegenerate(t) > 0 else -1.0
     # each cross product is twice the signed area of the sub-triangle
-    slack = 2.0 * _eps_area(*t.vertices)
+    slack = 2.0 * _eps_area(t)
     va, vb, vc = t.vertices
     for q0, q1 in ((va, vb), (vb, vc), (vc, va)):
         cross = (q1.x - q0.x) * (p.y - q0.y) - (q1.y - q0.y) * (p.x - q0.x)

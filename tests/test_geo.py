@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -39,6 +40,9 @@ def well_conditioned(t: Triangle) -> bool:
     diag2 = (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2
     return diag2 > 1e-12 and area(t) > 1e-3 * diag2
 
+
+# 1e8 sides of 5 * 2**-20 from the origin, in whole grid units
+_OFFSET = (round(5e8 * math.cos(1.0)), round(5e8 * math.sin(1.0)))
 
 triangles = st.builds(
     tri, coord, coord, coord, coord, coord, coord
@@ -118,6 +122,28 @@ class TestCanonicalize:
         near = ct.b - ct.a if pair == "ab" else ct.c - ct.b
         assert near / ct.c == pytest.approx(gap, abs=1e-13)
         assert ct.shape_class is shape
+
+    @pytest.mark.parametrize(
+        "labeled",
+        [
+            # b = c: the tied vertices share y, so x orders them
+            ((1, 5), (0, 0), (2, 0)),
+            # b = c: x and y order the tied vertices oppositely
+            ((0, 0), (3, 4), (4, 3)),
+            # a = b, likewise
+            ((3, 4), (4, -3), (0, 0)),
+            # the second triangle on a 2**-20 grid, 1e8 sides from the origin:
+            # the offset adds exactly, so the tie stays exact
+            tuple(((_OFFSET[0] + x) * 2.0**-20, (_OFFSET[1] + y) * 2.0**-20) for x, y in ((0, 0), (3, 4), (4, 3))),
+        ],
+    )
+    def test_exact_length_ties_break_on_x_then_y(self, labeled):
+        # `labeled` lists A, B, C in the (length, x, y) order
+        want = tuple(Point(float(x), float(y)) for x, y in labeled)
+        for order in itertools.permutations(want):
+            ct = canonicalize(Triangle(*order))
+            assert ct.a == ct.b or ct.b == ct.c  # bitwise, so the tie-break decides
+            assert (ct.A, ct.B, ct.C) == want, order
 
     @settings(max_examples=100, deadline=None)
     @given(t=triangles)
