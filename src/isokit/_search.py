@@ -18,8 +18,6 @@ import numpy as np
 
 from .geo import Triangle
 
-_TWO_PI = 2.0 * math.pi
-
 # rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays
 _BLOCK_ROWS = 512
 
@@ -126,7 +124,7 @@ def _stationary_apex_angles(a: float) -> list[float]:
     # the quartic's roots solve sin(2 delta + a) = 3 sin(a); past its double
     # root at 3 sin(a) = 1 both become the double root's apex angle
     phi = math.asin(min(1.0, 3.0 * math.sin(a)))
-    deltas += [0.5 * ((phi - a) % _TWO_PI), 0.5 * ((math.pi - phi - a) % _TWO_PI)]
+    deltas += [0.5 * ((phi - a) % math.tau), 0.5 * ((math.pi - phi - a) % math.tau)]
     return [delta for delta in deltas if 0.0 < delta < math.pi]
 
 

@@ -34,6 +34,7 @@ from .oracle import verify_triangle, verify_triangles  # noqa: F401
 from .sampling import (
     DEFAULT_MIN_ANGLE,
     DEFAULT_SCALENE_MARGIN,
+    _bad_angles,
     sample_canonical_triangles,
     triangle_from_angles,
     triangle_from_sides,
@@ -180,7 +181,7 @@ def _resolve_triangle(args: argparse.Namespace) -> CanonicalTriangle:
     if args.angles:
         alpha_deg, beta_deg = _parse_floats(args.angles, 2, "--angles")
         alpha, beta = math.radians(alpha_deg), math.radians(beta_deg)
-        if alpha <= 0.0 or beta <= 0.0 or alpha + beta >= math.pi:
+        if _bad_angles(alpha, beta):  # the library's own test, with a message in degrees
             raise ValueError(
                 f"--angles: need alpha > 0, beta > 0, alpha + beta < 180, got {alpha_deg}, {beta_deg}"
             )

@@ -56,34 +56,22 @@ class ContainerVariant(Enum):
     THIRD_AB_CBAR = "ABCbar"
 
 
-# the slots of P, Q and R in the input's (A, B, C) labeling: the container
-# is PQX, with X on the ray from P through R, in R's slot
+# one row per variant: (kind, the slots (p, q, r) of P, Q and R in the input's
+# (A, B, C) labeling, the Unicode figure label of the new vertex X); the
+# container is PQX, with X on the ray from P through R, in R's slot
 _RAYS = {
-    ContainerVariant.FIRST_AB_PRIME_C: (Kind.FIRST, (2, 0, 1)),
-    ContainerVariant.FIRST_ABC_PRIME: (Kind.FIRST, (0, 1, 2)),
-    ContainerVariant.FIRST_ABC_DOUBLE_PRIME: (Kind.FIRST, (1, 0, 2)),
-    ContainerVariant.SECOND_AB1_C: (Kind.SECOND, (0, 2, 1)),
-    ContainerVariant.SECOND_ABC1: (Kind.SECOND, (0, 1, 2)),
-    ContainerVariant.SECOND_ABC2: (Kind.SECOND, (1, 0, 2)),
-    ContainerVariant.THIRD_ABAR_BC: (Kind.THIRD, (2, 1, 0)),
-    ContainerVariant.THIRD_A_BBAR_C: (Kind.THIRD, (2, 0, 1)),
-    ContainerVariant.THIRD_AB_CBAR: (Kind.THIRD, (1, 0, 2)),
+    ContainerVariant.FIRST_AB_PRIME_C: (Kind.FIRST, (2, 0, 1), "B′"),
+    ContainerVariant.FIRST_ABC_PRIME: (Kind.FIRST, (0, 1, 2), "C′"),
+    ContainerVariant.FIRST_ABC_DOUBLE_PRIME: (Kind.FIRST, (1, 0, 2), "C″"),
+    ContainerVariant.SECOND_AB1_C: (Kind.SECOND, (0, 2, 1), "B₁"),
+    ContainerVariant.SECOND_ABC1: (Kind.SECOND, (0, 1, 2), "C₁"),
+    ContainerVariant.SECOND_ABC2: (Kind.SECOND, (1, 0, 2), "C₂"),
+    ContainerVariant.THIRD_ABAR_BC: (Kind.THIRD, (2, 1, 0), "Ā"),
+    ContainerVariant.THIRD_A_BBAR_C: (Kind.THIRD, (2, 0, 1), "B̄"),
+    ContainerVariant.THIRD_AB_CBAR: (Kind.THIRD, (1, 0, 2), "C̄"),
 }
-# per kind, the (variant, p, q, r) rows of its containers in `_RAYS` order
-_ROWS = {kind: [(v, *pqr) for v, (k, pqr) in _RAYS.items() if k is kind] for kind in Kind}
-
-# display label of the new auxiliary point (Unicode, for figures)
-_NEW_VERTEX = {
-    ContainerVariant.FIRST_AB_PRIME_C: "B′",
-    ContainerVariant.FIRST_ABC_PRIME: "C′",
-    ContainerVariant.FIRST_ABC_DOUBLE_PRIME: "C″",
-    ContainerVariant.SECOND_AB1_C: "B₁",
-    ContainerVariant.SECOND_ABC1: "C₁",
-    ContainerVariant.SECOND_ABC2: "C₂",
-    ContainerVariant.THIRD_ABAR_BC: "Ā",
-    ContainerVariant.THIRD_A_BBAR_C: "B̄",
-    ContainerVariant.THIRD_AB_CBAR: "C̄",
-}
+# per kind, the (variant, kind, p, q, r) rows of its containers in `_RAYS` order
+_ROWS = {kind: [(v, k, *pqr) for v, (k, pqr, _) in _RAYS.items() if k is kind] for kind in Kind}
 
 
 class NearRightAngleWarning(UserWarning):
@@ -100,10 +88,13 @@ class SpecialContainer:
     """
 
     variant: ContainerVariant
-    kind: Kind
     tri: Triangle
     area: float
     ratio: float
+
+    @property
+    def kind(self) -> Kind:
+        return _RAYS[self.variant][0]
 
     @property
     def label(self) -> str:
@@ -115,17 +106,17 @@ class SpecialContainer:
 
     @property
     def new_vertex_label(self) -> str:
-        return _NEW_VERTEX[self.variant]
+        return _RAYS[self.variant][2]
 
 
-def _build(ct: CanonicalTriangle, kind: Kind, rows: list) -> list[SpecialContainer]:
-    """The containers PQX of `rows`, X = P + s*(R - P), each with ratio s."""
+def _build(ct: CanonicalTriangle, rows: list) -> list[SpecialContainer]:
+    """The containers PQX of `rows`, of any kinds: X = P + s*(R - P), ratio s."""
     _check_scalene(ct)
     A, B, C = vertices = ct.tri.vertices
     # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
     sides = (ct.a, ct.b, ct.c)
     out = []
-    for variant, p, q, r in rows:
+    for variant, kind, p, q, r in rows:
         P, Q, R = vertices[p], vertices[q], vertices[r]
         ex, ey = R.x - P.x, R.y - P.y
         if kind is Kind.FIRST:
@@ -138,18 +129,18 @@ def _build(ct: CanonicalTriangle, kind: Kind, rows: list) -> list[SpecialContain
                 s = sides[r] * sides[r] / (2.0 * dot)
         X = Point(P.x + ex * s, P.y + ey * s)
         tri = Triangle(X, B, C) if r == 0 else Triangle(A, X, C) if r == 1 else Triangle(A, B, X)
-        out.append(SpecialContainer(variant, kind, tri, s * ct.area, s))  # area, ratio
+        out.append(SpecialContainer(variant, tri, s * ct.area, s))  # area, ratio
     return out
 
 
 def first_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three first-kind containers; area ratios are b/a, c/b, c/a."""
-    return _build(ct, Kind.FIRST, _ROWS[Kind.FIRST])
+    return _build(ct, _ROWS[Kind.FIRST])
 
 
 def second_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     """The three second-kind containers; AB1C has ratio 2*b*cos(alpha)/c."""
-    return _build(ct, Kind.SECOND, _ROWS[Kind.SECOND])
+    return _build(ct, _ROWS[Kind.SECOND])
 
 
 def third_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
@@ -165,7 +156,7 @@ def third_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     rows = _ROWS[Kind.THIRD]
     if not ct.gamma < 0.5 * math.pi - eps:
         rows = rows[2:]  # ABCbar alone
-    out = _build(ct, Kind.THIRD, rows)
+    out = _build(ct, rows)
     if abs(ct.gamma - 0.5 * math.pi) < eps:
         warnings.warn(
             "largest angle is within tolerance of 90 degrees; the containers "

@@ -129,18 +129,6 @@ class CanonicalTriangle:
     area: float
     shape_class: ShapeClass
 
-    @property
-    def A(self) -> Point:
-        return self.tri.A
-
-    @property
-    def B(self) -> Point:
-        return self.tri.B
-
-    @property
-    def C(self) -> Point:
-        return self.tri.C
-
 
 def signed_area(t: Triangle) -> float:
     """Shoelace area; positive when A, B, C wind counter-clockwise."""

@@ -63,16 +63,20 @@ def sample_scalene_angles(
     return alpha, beta, math.pi - alpha - beta
 
 
+def _bad_angles(alpha: float, beta: float) -> bool:
+    """Whether alpha, beta and pi - alpha - beta are not all positive (a NaN is not)."""
+    return not (alpha > 0.0 and beta > 0.0 and math.pi - alpha - beta > 0.0)
+
+
 def triangle_from_angles(alpha: float, beta: float, scale: float = 1.0) -> CanonicalTriangle:
     """Triangle with the given two angles (third is pi - alpha - beta) and
     circumdiameter `scale` (positive), longest-side-on-x-axis position."""
-    gamma = math.pi - alpha - beta
-    if min(alpha, beta, gamma) <= 0.0:
+    if _bad_angles(alpha, beta):
         raise ValueError(f"angles must be positive with alpha + beta < pi, got {alpha}, {beta}")
     if not scale > 0.0:
         raise ValueError(f"scale (circumdiameter) must be positive, got {scale}")
     b = scale * math.sin(beta)
-    c = scale * math.sin(gamma)
+    c = scale * math.sin(math.pi - alpha - beta)
     tri = Triangle(
         Point(0.0, 0.0),
         Point(c, 0.0),

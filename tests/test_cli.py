@@ -14,6 +14,7 @@ from isokit import (
     all_special_containers,
     minimum_isosceles_container,
     sample_canonical_triangles,
+    triangle_from_angles,
     triangle_from_sides,
     verify_triangle,
     verify_triangles,
@@ -172,6 +173,23 @@ class TestInvalidInput:
         code, _, err = run(capsys, "min", "--angles", "120,70")
         assert code == 2
         assert "alpha + beta" in err
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        # the last pair's radians add up to pi in floating point, while
+        # pi - alpha - beta is 2.2e-16
+        [(120.0, 70.0), (50.0, 60.0), (141.97020320439236, 38.02979679560763)],
+    )
+    def test_angles_message_iff_the_library_rejects_the_angles(self, capsys, alpha, beta):
+        try:
+            triangle_from_angles(math.radians(alpha), math.radians(beta))
+            rejected = False
+        except ValueError as exc:
+            rejected = "angles must be positive" in str(exc)
+        code, _, err = run(capsys, "min", "--angles", f"{alpha!r},{beta!r}")
+        assert ("--angles: need" in err) == rejected
+        if rejected:
+            assert code == 2
 
     def test_bad_number(self, capsys):
         code, _, err = run(capsys, "min", "--sides", "3,4,x")

@@ -23,7 +23,7 @@ from isokit import (
     triangle_from_sides,
     sample_canonical_triangles,
 )
-from isokit.containers import _RAYS
+from isokit.containers import _RAYS, _ROWS
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +93,8 @@ class TestSecondKind:
     def test_defining_distances_batch(self, batch):
         for ct in batch:
             ab1c, abc1, abc2 = second_kind(ct)
-            A, C = ct.A, ct.C
-            B = ct.B
+            A, C = ct.tri.A, ct.tri.C
+            B = ct.tri.B
             assert dist(ab1c.tri.B, C) == pytest.approx(ct.b, rel=1e-9)  # |B1 C| = b
             assert dist(abc1.tri.C, B) == pytest.approx(ct.c, rel=1e-9)  # |C1 B| = c
             assert dist(abc2.tri.C, A) == pytest.approx(ct.c, rel=1e-9)  # |C2 A| = c
@@ -142,14 +142,14 @@ class TestThirdKind:
         # the replaced vertex sits on a perpendicular bisector of the side it
         # is paired with
         abar, bbar, cbar = third_kind(acute)
-        assert dist(abar.new_vertex, acute.B) == pytest.approx(
-            dist(abar.new_vertex, acute.C), rel=1e-9
+        assert dist(abar.new_vertex, acute.tri.B) == pytest.approx(
+            dist(abar.new_vertex, acute.tri.C), rel=1e-9
         )
-        assert dist(bbar.new_vertex, acute.A) == pytest.approx(
-            dist(bbar.new_vertex, acute.C), rel=1e-9
+        assert dist(bbar.new_vertex, acute.tri.A) == pytest.approx(
+            dist(bbar.new_vertex, acute.tri.C), rel=1e-9
         )
-        assert dist(cbar.new_vertex, acute.A) == pytest.approx(
-            dist(cbar.new_vertex, acute.B), rel=1e-9
+        assert dist(cbar.new_vertex, acute.tri.A) == pytest.approx(
+            dist(cbar.new_vertex, acute.tri.B), rel=1e-9
         )
 
     def test_not_scalene(self):
@@ -251,6 +251,42 @@ class TestThirdKindDominated:
                 assert abar.area - abc2.area > eps * abar.area
 
 
+# label, kind, replaced slot (0, 1, 2 for A, B, C) and new-vertex label of
+# each container, in build order; the labels are spelled out by code point,
+# so that a normalized Abar (U+0100) shows up too
+VARIANT_TABLE = [
+    ("AB'C", Kind.FIRST, 1, "B\u2032"),
+    ("ABC'", Kind.FIRST, 2, "C\u2032"),
+    ("ABC''", Kind.FIRST, 2, "C\u2033"),
+    ("AB1C", Kind.SECOND, 1, "B\u2081"),
+    ("ABC1", Kind.SECOND, 2, "C\u2081"),
+    ("ABC2", Kind.SECOND, 2, "C\u2082"),
+    ("AbarBC", Kind.THIRD, 0, "A\u0304"),
+    ("ABbarC", Kind.THIRD, 1, "B\u0304"),
+    ("ABCbar", Kind.THIRD, 2, "C\u0304"),
+]
+
+
+def test_variant_table(acute):
+    got = []
+    for sc in all_special_containers(acute):
+        # the two kept vertices are bitwise the input's; the new one is not
+        replaced = [i for i, (p, q) in enumerate(zip(sc.tri.vertices, acute.tri.vertices)) if p != q]
+        assert len(replaced) == 1, sc.label
+        assert sc.new_vertex == sc.tri.vertices[replaced[0]]
+        got.append((sc.label, sc.kind, replaced[0], sc.new_vertex_label))
+    assert got == VARIANT_TABLE
+
+
+def test_one_row_per_variant_split_by_kind():
+    assert list(_RAYS) == list(ContainerVariant)
+    assert all(sorted(pqr) == [0, 1, 2] for _, pqr, _ in _RAYS.values())
+    # the rows of each kind, kinds in order, are the rows of `_RAYS` in order
+    rows = [(v, k, (p, q, r)) for kind in Kind for v, k, p, q, r in _ROWS[kind]]
+    assert rows == [(v, k, pqr) for v, (k, pqr, _) in _RAYS.items()]
+    assert all(k is kind for kind in Kind for _, k, *_ in _ROWS[kind])
+
+
 def test_kind_tags(acute):
     kinds = [sc.kind for sc in all_special_containers(acute)]
     assert kinds == [Kind.FIRST] * 3 + [Kind.SECOND] * 3 + [Kind.THIRD] * 3
@@ -260,7 +296,7 @@ def reference_container(ct: CanonicalTriangle, variant: ContainerVariant) -> Spe
     """The container PQX of `variant`, X = P + s*(R - P), with ratio s: one
     container per call, as the library built them before its one loop over
     the rows of a kind."""
-    kind, (p, q, r) = _RAYS[variant]
+    kind, (p, q, r), _ = _RAYS[variant]
     vertices = list(ct.tri.vertices)
     P, Q, R = vertices[p], vertices[q], vertices[r]
     # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
@@ -275,7 +311,7 @@ def reference_container(ct: CanonicalTriangle, variant: ContainerVariant) -> Spe
         else:
             s = sides[r] * sides[r] / (2.0 * dot)
     vertices[r] = Point(P.x + ex * s, P.y + ey * s)
-    return SpecialContainer(variant, kind, Triangle(*vertices), area=s * ct.area, ratio=s)
+    return SpecialContainer(variant, Triangle(*vertices), area=s * ct.area, ratio=s)
 
 
 def test_same_containers_as_reference():

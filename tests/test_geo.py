@@ -86,9 +86,9 @@ class TestCanonicalize:
         # A sits opposite the shortest side: the vertex (0,0)
         ct = canonicalize(tri(0, 0, 4, 0, 4, 3))
         assert (ct.a, ct.b, ct.c) == pytest.approx((3.0, 4.0, 5.0), rel=1e-12)
-        assert ct.A == Point(0.0, 0.0)
-        assert ct.B == Point(4.0, 3.0)
-        assert ct.C == Point(4.0, 0.0)
+        assert ct.tri.A == Point(0.0, 0.0)
+        assert ct.tri.B == Point(4.0, 3.0)
+        assert ct.tri.C == Point(4.0, 0.0)
         assert ct.shape_class is ShapeClass.SCALENE
         assert ct.gamma == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -143,7 +143,7 @@ class TestCanonicalize:
         for order in itertools.permutations(want):
             ct = canonicalize(Triangle(*order))
             assert ct.a == ct.b or ct.b == ct.c  # bitwise, so the tie-break decides
-            assert (ct.A, ct.B, ct.C) == want, order
+            assert (ct.tri.A, ct.tri.B, ct.tri.C) == want, order
 
     @settings(max_examples=100, deadline=None)
     @given(t=triangles)

@@ -1,7 +1,8 @@
-"""Package-wide checks: the public names, their parameters, and parameters
-nothing reads."""
+"""Package-wide checks: the public names, their parameters, the fields of
+the public records, and parameters nothing reads."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -54,6 +55,40 @@ def test_public_function_parameters():
     functions = {name: getattr(isokit, name) for name in isokit.__all__ if inspect.isfunction(getattr(isokit, name))}
     got = {name: tuple(inspect.signature(f).parameters) for name, f in functions.items()}
     assert got == PUBLIC_PARAMETERS
+
+
+# the stored fields of every public record, in order: a field that is added,
+# dropped or reordered shows up here, and so does a derived value (such as
+# `SpecialContainer.kind`) that is stored instead of computed
+PUBLIC_RECORD_FIELDS = {
+    "CanonicalTriangle": ("tri", "a", "b", "c", "alpha", "beta", "gamma", "area", "shape_class"),
+    "MinimizerResult": ("min_area", "min_ratio", "minimizers", "candidates"),
+    "OracleResult": ("min_area", "witness", "params"),
+    "Point": ("x", "y"),
+    "ShapeParams": ("apex_angle", "rotation"),
+    "SpecialContainer": ("variant", "tri", "area", "ratio"),
+    "Tolerances": ("eps_len", "eps_angle", "eps_num", "eps_tie"),
+    "Triangle": ("A", "B", "C"),
+    "VerificationReport": (
+        "input",
+        "closed_form_area",
+        "oracle_area",
+        "relative_gap",
+        "min_result",
+        "oracle_result",
+        "flags",
+    ),
+}
+
+
+def test_public_record_fields():
+    records = {name: getattr(isokit, name) for name in isokit.__all__}
+    got = {
+        name: tuple(f.name for f in dataclasses.fields(cls))
+        for name, cls in records.items()
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+    }
+    assert got == PUBLIC_RECORD_FIELDS
 
 
 # every other public name, by kind: a class, exception or constant that is

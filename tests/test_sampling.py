@@ -105,6 +105,15 @@ def test_triangle_from_angles_validation():
         triangle_from_angles(-0.1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0), (math.nan, math.inf), (math.inf, math.nan)]
+)
+def test_triangle_from_angles_rejects_nan_angles(alpha, beta):
+    # a NaN angle is not positive, whichever argument holds it
+    with pytest.raises(ValueError, match="angles must be positive"):
+        triangle_from_angles(alpha, beta)
+
+
 @pytest.mark.parametrize("scale", [-2.0, 0.0, math.nan])
 def test_triangle_from_angles_rejects_nonpositive_scale(scale):
     # a negative circumdiameter would build the reflected triangle
