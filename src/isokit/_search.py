@@ -1,8 +1,8 @@
 """The oracle's array search: the flush containers of a batch of triangles,
 evaluated in numpy passes over fixed-size blocks of rows (see
 `oracle.brute_force_min_isosceles_batch`).  Each row's least-area container
-comes back with the support values it was built from, so the oracle builds
-its witness from the search's own numbers, without a second pass.
+comes back with its witness vertices, built here from the support values
+the search computed, without a second pass over the triangle.
 
 This is the only isokit module that imports numpy when it loads.  `oracle`
 imports it on its first search, so `import isokit` and the closed-form
@@ -21,9 +21,9 @@ from .geo import Triangle
 # rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays
 _BLOCK_ROWS = 512
 
-# (apex angle, rotation, area, (h1, h2, hb), (cx, cy)) of one triangle's
-# least-area flush container; see `best_shapes`
-Shape = tuple[float, float, float, tuple[float, float, float], tuple[float, float]]
+# (apex angle, rotation, area, vertices) of one triangle's least-area flush
+# container; see `best_shapes`
+Shape = tuple[float, float, float, list[tuple[float, float]]]
 
 
 def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -49,6 +49,22 @@ def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray
         dot += ny * yv
         h = dot if h is None else np.maximum(h, dot, out=h)
     return h[0], h[1], h[2]
+
+
+def _witness_vertices(
+    cx: float, cy: float, h1: float, h2: float, hb: float, delta: float, psi: float
+) -> list[tuple[float, float]]:
+    """The vertices, apex first, of the isosceles triangle with apex angle
+    `delta` and axis direction `psi` bounded by the lines at support values
+    (h1, h2, hb), measured from (cx, cy), along the outward normals of its
+    two legs and its base (see `_side_supports`)."""
+    sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
+    ux, uy = math.cos(psi), math.sin(psi)  # axis: base midpoint -> apex
+    apex = ((h1 + h2) / (2.0 * sh), (h2 - h1) / (2.0 * ch))
+    base1 = (-hb, -(h1 + hb * sh) / ch)
+    base2 = (-hb, (h2 + hb * sh) / ch)
+    # (xi, eta) along the axis and a quarter turn counter-clockwise from it
+    return [(cx + xi * ux - eta * uy, cy + xi * uy + eta * ux) for xi, eta in (apex, base1, base2)]
 
 
 def _shape_frame(
@@ -211,23 +227,24 @@ def _block_best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
     # each row's argmin plus the row's offset: one index into every
     # flattened (N, M, K) array, and into deltas after dividing by K
     flat = areas.reshape(n, -1).argmin(axis=1) + np.arange(0, n * m * k, m * k)
-    picked = (a.take(flat).tolist() for a in (psis, areas, h1, h2, hb))
+    picked = (a.take(flat).tolist() for a in (areas, h1, h2, hb))
+    rotations = [psi % math.tau for psi in psis.take(flat).tolist()]
+    rows = zip(deltas.take(flat // k).tolist(), rotations, *picked, frames)
     return [
-        (delta, psi, area * s * s, (g1 * s, g2 * s, gb * s), (cx, cy))
-        for delta, psi, area, g1, g2, gb, (cx, cy, s) in zip(deltas.take(flat // k).tolist(), *picked, frames)
+        (delta, psi, area * s * s, _witness_vertices(cx, cy, g1 * s, g2 * s, gb * s, delta, psi))
+        for delta, psi, area, g1, g2, gb, (cx, cy, s) in rows
     ]
 
 
 def best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
     """The least-area flush container of each of `triangles`, as (apex
-    angle, rotation, area, supports, centroid), each row searched on its
-    own centred, unit-size copy with its own argmin.
+    angle, rotation, area, vertices), each row searched on its own centred,
+    unit-size copy with its own argmin.
 
-    The area is the value the argmin picked, times the scale squared.  The
-    supports (h1, h2, hb) are the support values of the triangle about its
-    centroid at the container's leg and base normals, the ones that area
-    came from, scaled back: with the centroid they give the witness
-    (`oracle._witness_vertices`) without a second pass over the triangle.
+    The rotation is the axis direction, reduced to [0, 2 pi).  The area is
+    the value the argmin picked, times the scale squared.  The vertices,
+    apex first, bound the container at the support values that area came
+    from, scaled back about the triangle's centroid (`_witness_vertices`).
     The rows are searched in blocks of `_BLOCK_ROWS`, so a batch's memory
     does not grow with its length.
     """

@@ -414,8 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`argv` with --sides, --vertices and --angles each joined to a next
+    value that starts with a single '-', as `--flag=value`: argparse takes
+    such a value for an option unless it is one plain number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--sides", "--vertices", "--angles") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         report, lines, code = args.func(args)
         print("\n".join(lines))

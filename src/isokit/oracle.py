@@ -30,8 +30,6 @@ from .geo import (
 from .minimize import MinimizerResult, minimum_isosceles_container
 
 __all__ = [
-    "UnboundedShape",
-    "ShapeParams",
     "OracleResult",
     "VerificationReport",
     "brute_force_min_isosceles",
@@ -46,30 +44,16 @@ __all__ = [
 _EPS_GEOM = 1e-5
 
 
-class UnboundedShape(ValueError):
-    """The apex angle is outside (0, pi), so the shape bounds no triangle."""
-
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """Isosceles container shape: apex angle in the open interval (0, pi)
-    and the direction of the symmetry axis, pointing from the base midpoint
-    toward the apex.  Any other apex angle raises `UnboundedShape`."""
-
-    apex_angle: float
-    rotation: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.apex_angle < math.pi:
-            raise UnboundedShape(f"apex angle {self.apex_angle} outside (0, pi)")
-        object.__setattr__(self, "rotation", self.rotation % math.tau)
-
-
 @dataclass(frozen=True)
 class OracleResult:
+    """The least-area container the search found: its area, its vertices
+    (apex first), its apex angle in (0, pi) and its axis direction, from the
+    base midpoint toward the apex, in [0, 2 pi)."""
+
     min_area: float
     witness: Triangle
-    params: ShapeParams
+    apex_angle: float
+    rotation: float
 
 
 @dataclass(frozen=True)
@@ -96,32 +80,6 @@ class VerificationReport:
         return self.flags["shares_side_and_angle"]
 
 
-def _witness_vertices(
-    centre: tuple[float, float], supports: tuple[float, float, float], sp: ShapeParams
-) -> Triangle:
-    """The isosceles triangle of shape `sp` bounded by the lines at support
-    values `supports` = (h1, h2, hb), measured from `centre`, along the
-    outward normals of its two legs and its base; the apex comes first."""
-    cx, cy = centre
-    h1, h2, hb = supports
-    half = 0.5 * sp.apex_angle
-    sh, ch = math.sin(half), math.cos(half)
-    psi = sp.rotation
-    ux, uy = math.cos(psi), math.sin(psi)  # axis: base midpoint -> apex
-    px, py = -uy, ux
-
-    xi_apex = (h1 + h2) / (2.0 * sh)
-    eta_apex = (h2 - h1) / (2.0 * ch)
-    xi_base = -hb
-    eta_1 = -(h1 + hb * sh) / ch
-    eta_2 = (h2 + hb * sh) / ch
-
-    def to_point(xi: float, eta: float) -> Point:
-        return Point(cx + xi * ux + eta * px, cy + xi * uy + eta * py)
-
-    return Triangle(to_point(xi_apex, eta_apex), to_point(xi_base, eta_1), to_point(xi_base, eta_2))
-
-
 def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[OracleResult]:
     """Minimum-area isosceles triangle containing each of `triangles`, by an
     exact search over (apex angle, axis direction) that does not use the
@@ -144,11 +102,11 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     each on its own centred, unit-size copy and with its own argmin, so a
     result does not depend on the rest of the batch.  `min_area` is the
     least area the search found on that copy, scaled back.  The witness is
-    the container bounded by the support values that area came from, as
-    the search computed them.  Every triangle is checked before the search,
-    against the fixed degeneracy threshold of `canonicalize`; the search
-    itself takes no tolerances.  Deterministic: ties go to the first
-    candidate.
+    the container bounded by the support values that area came from, which
+    the search builds itself (`_search.best_shapes`).  Every triangle is
+    checked before the search, against the fixed degeneracy threshold of
+    `canonicalize`; the search takes no tolerances.  Deterministic: ties go
+    to the first candidate.
     """
     triangles = list(triangles)
     if not triangles:
@@ -158,12 +116,10 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     # imported on first use, so that `import isokit` does not load numpy
     from ._search import best_shapes
 
-    results = []
-    for apex_angle, rotation, min_area, supports, centre in best_shapes(triangles):
-        params = ShapeParams(apex_angle=apex_angle, rotation=rotation)
-        witness = _witness_vertices(centre, supports, params)
-        results.append(OracleResult(min_area=min_area, witness=witness, params=params))
-    return results
+    return [
+        OracleResult(min_area, Triangle(*(Point(x, y) for x, y in vertices)), apex_angle, rotation)
+        for apex_angle, rotation, min_area, vertices in best_shapes(triangles)
+    ]
 
 
 def brute_force_min_isosceles(t: Triangle) -> OracleResult:

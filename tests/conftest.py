@@ -2,23 +2,23 @@
 
 import pytest
 
-from isokit import ShapeParams, Triangle
+from isokit import Point, Triangle
 
 
-def _min_triangle_for_shape(t: Triangle, sp: ShapeParams) -> Triangle:
-    """Smallest isosceles triangle of shape `sp` containing `t`: the one
-    bounded by the supporting lines of `t` at the shape's outward side
-    normals, built from the oracle's own pieces as a one-row batch."""
+def _min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle:
+    """Smallest isosceles triangle of shape `shape` = (apex angle, rotation)
+    containing `t`: the one bounded by the supporting lines of `t` at the
+    shape's outward side normals, built from the oracle's own pieces as a
+    one-row batch."""
     import numpy as np
 
-    from isokit._search import _shape_frame, _side_supports
-    from isokit.oracle import _witness_vertices
+    from isokit._search import _shape_frame, _side_supports, _witness_vertices
 
     p, _, _, ((cx, cy, s),) = _shape_frame([t])
     x, y = (p[0, :, k].reshape(3, 1, 1, 1) for k in (0, 1))
-    delta, psi = (np.full((1, 1, 1), v) for v in (sp.apex_angle, sp.rotation))
-    h = _side_supports(x, y, delta, psi)
-    return _witness_vertices((cx, cy), tuple(g.item() * s for g in h), sp)
+    h = _side_supports(x, y, *(np.full((1, 1, 1), v) for v in shape))
+    h1, h2, hb = (g.item() * s for g in h)
+    return Triangle(*(Point(*v) for v in _witness_vertices(cx, cy, h1, h2, hb, *shape)))
 
 
 @pytest.fixture(scope="session")

@@ -154,6 +154,31 @@ class TestMin:
         assert doc["count"] == 1
 
 
+class TestNegativeValues:
+    """A value after --sides, --vertices or --angles may start with '-'."""
+
+    @pytest.mark.parametrize(
+        "flag, value, code", [("--vertices", "-1,0,1,0,0,3", 0), ("--sides", "-3,4,5", 2), ("--angles", "-10,60", 2)]
+    )
+    def test_plain_form_matches_equals_form(self, capsys, flag, value, code):
+        # argparse alone reads "-1,0,..." as an unknown option and exits 2
+        # with "expected one argument"
+        plain = run(capsys, "min", flag, value)
+        assert plain[0] == code
+        assert plain == run(capsys, "min", f"{flag}={value}")
+
+    def test_negative_angles_get_the_angles_message(self, capsys):
+        code, _, err = run(capsys, "min", "--angles", "-10,60")
+        assert code == 2
+        assert "--angles: need" in err
+
+    def test_flag_is_not_taken_for_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["min", "--vertices", "--angles", "50,60"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestInvalidInput:
     def test_degenerate_sides(self, capsys):
         code, _, err = run(capsys, "containers", "--sides", "1,2,3")

@@ -11,9 +11,7 @@ from isokit import (
     DegenerateTriangle,
     NotScalene,
     Point,
-    ShapeParams,
     Triangle,
-    UnboundedShape,
     all_special_containers,
     area,
     brute_force_min_isosceles,
@@ -43,7 +41,7 @@ def dist(p, q):
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def shape_of(tri: Triangle) -> ShapeParams:
+def shape_of(tri: Triangle) -> tuple[float, float]:
     """Apex angle and axis rotation of an isosceles triangle given as
     (apex, base0, base1)."""
     apex, b0, b1 = tri.vertices
@@ -53,25 +51,12 @@ def shape_of(tri: Triangle) -> ShapeParams:
     apex_angle = math.acos(max(-1.0, min(1.0, cosang)))
     mx, my = 0.5 * (b0.x + b1.x), 0.5 * (b0.y + b1.y)
     rotation = math.atan2(apex.y - my, apex.x - mx)
-    return ShapeParams(apex_angle=apex_angle, rotation=rotation)
+    return apex_angle, rotation
 
 
 @pytest.fixture(scope="module")
 def t345():
     return triangle_from_sides(3.0, 4.0, 5.0)
-
-
-class TestShapeParams:
-    def test_apex_bounds(self):
-        with pytest.raises(UnboundedShape):
-            ShapeParams(apex_angle=0.0, rotation=0.0)
-        with pytest.raises(UnboundedShape):
-            ShapeParams(apex_angle=math.pi, rotation=0.0)
-
-    def test_rotation_normalized(self):
-        sp = ShapeParams(apex_angle=1.0, rotation=-1.0)
-        assert 0.0 <= sp.rotation < 2 * math.pi
-        assert sp.rotation == pytest.approx(2 * math.pi - 1.0, rel=1e-12)
 
 
 class TestMinTriangleForShape:
@@ -100,10 +85,7 @@ class TestMinTriangleForShape:
     def test_sides_touch(self, t345, min_triangle_for_shape):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            sp = ShapeParams(
-                apex_angle=rng.uniform(0.1, math.pi - 0.1),
-                rotation=rng.uniform(0, 2 * math.pi),
-            )
+            sp = (rng.uniform(0.1, math.pi - 0.1), rng.uniform(0, 2 * math.pi))
             out = min_triangle_for_shape(t345.tri, sp)
             assert contains_triangle(out, t345.tri)
             w = out.vertices
@@ -118,7 +100,7 @@ class TestMinTriangleForShape:
                 assert dmin <= 1e-9 * ln
 
     def test_isosceles_output(self, t345, min_triangle_for_shape):
-        sp = ShapeParams(apex_angle=1.0, rotation=0.3)
+        sp = (1.0, 0.3)
         out = min_triangle_for_shape(t345.tri, sp)
         apex, b0, b1 = out.vertices
         assert dist(apex, b0) == pytest.approx(dist(apex, b1), rel=1e-12)
@@ -166,7 +148,7 @@ class TestBruteForce:
         assert contains_triangle(res.witness, t345.tri)
         assert res.min_area == pytest.approx(7.5, rel=1e-12)
         # ABC' has its apex on A and shares the angle there
-        assert res.params.apex_angle == pytest.approx(t345.alpha, rel=1e-12)
+        assert res.apex_angle == pytest.approx(t345.alpha, rel=1e-12)
 
     def test_flush_candidates_are_complete(self):
         # the two claims the search rests on, checked by dense sampling:
@@ -263,7 +245,7 @@ class TestBruteForce:
         r1 = brute_force_min_isosceles(t345.tri)
         r2 = brute_force_min_isosceles(t345.tri)
         assert r1.min_area == r2.min_area
-        assert r1.params == r2.params
+        assert (r1.apex_angle, r1.rotation) == (r2.apex_angle, r2.rotation)
         assert r1.witness == r2.witness
 
     def test_never_beats_closed_form(self):
@@ -346,7 +328,7 @@ class TestConcurrency:
 
         def work(ct):
             res = brute_force_min_isosceles(ct.tri)
-            return (res.min_area, res.params.apex_angle, res.params.rotation)
+            return (res.min_area, res.apex_angle, res.rotation)
 
         serial = [work(ct) for ct in cts]
         with ThreadPoolExecutor(max_workers=4) as ex:

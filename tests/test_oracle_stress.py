@@ -141,11 +141,18 @@ def test_witness_matches_min_triangle_for_shape(min_triangle_for_shape):
     # the result's shape, so the two triangles may differ by rounding alone
     batch = witness_batch()
     for t, result in zip(batch, brute_force_min_isosceles_batch(batch)):
-        again = min_triangle_for_shape(t, result.params)
+        again = min_triangle_for_shape(t, (result.apex_angle, result.rotation))
         w = again.vertices
         size = max(math.hypot(w[i].x - w[i - 1].x, w[i].y - w[i - 1].y) for i in range(3))
         for p, q in zip(result.witness.vertices, w):
             assert math.hypot(p.x - q.x, p.y - q.y) <= 1e-12 * size
+
+
+def test_result_reports_its_shape():
+    # the apex angle bounds a triangle and the rotation is reduced to one turn
+    for result in brute_force_min_isosceles_batch(witness_batch()):
+        assert 0.0 < result.apex_angle < math.pi
+        assert 0.0 <= result.rotation < 2 * math.pi
 
 
 def test_witness_holds_input_and_sides_touch():

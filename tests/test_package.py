@@ -63,9 +63,8 @@ def test_public_function_parameters():
 PUBLIC_RECORD_FIELDS = {
     "CanonicalTriangle": ("tri", "a", "b", "c", "alpha", "beta", "gamma", "area", "shape_class"),
     "MinimizerResult": ("min_area", "min_ratio", "minimizers", "candidates"),
-    "OracleResult": ("min_area", "witness", "params"),
+    "OracleResult": ("min_area", "witness", "apex_angle", "rotation"),
     "Point": ("x", "y"),
-    "ShapeParams": ("apex_angle", "rotation"),
     "SpecialContainer": ("variant", "tri", "area", "ratio"),
     "Tolerances": ("eps_len", "eps_angle", "eps_num", "eps_tie"),
     "Triangle": ("A", "B", "C"),
@@ -113,11 +112,9 @@ PUBLIC_NON_FUNCTIONS = {
     "Point": "class",
     "SELF_CONTAINER": "constant",
     "ShapeClass": "class",
-    "ShapeParams": "class",
     "SpecialContainer": "class",
     "Tolerances": "class",
     "Triangle": "class",
-    "UnboundedShape": "exception",
     "VerificationReport": "class",
 }
 
