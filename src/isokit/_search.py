@@ -21,27 +21,21 @@ from .geo import Triangle
 # rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays
 _BLOCK_ROWS = 512
 
-# (apex angle, rotation, area, vertices) of one triangle's least-area flush
-# container; see `best_shapes`
+# one triangle's least-area container as (apex angle, rotation, area, vertices)
 Shape = tuple[float, float, float, list[tuple[float, float]]]
 
 
-def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _side_supports(x: np.ndarray, y: np.ndarray, sh, ch, ux, uy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Support values (h1, h2, hb) of a triangle at the outward normals of
-    the two legs and the base of the isosceles shape with apex angle `delta`
-    and axis direction `psi`.
-
-    `x` and `y` hold a batch's vertex coordinates, shape (3, N, 1, 1), and
-    broadcast against `delta` and `psi`.  The leg normals point along
-    psi -/+ (pi/2 - delta/2), the base normal along psi + pi.
-    """
-    sh, ch = np.sin(0.5 * delta), np.cos(0.5 * delta)
-    ux, uy = np.cos(psi), np.sin(psi)
+    the two legs and the base of the isosceles shape with half apex angle
+    sine `sh`, cosine `ch` and unit axis u = (`ux`, `uy`): sh u -/+ ch u'
+    and -u, with u' = (-uy, ux).  `x` and `y` hold a batch's vertex
+    coordinates, (3, N, 1, 1), and broadcast against the others."""
     a, b = sh * ux, ch * uy
     nx = np.array((a + b, a - b, -ux))
     a, b = sh * uy, ch * ux
     ny = np.array((a - b, a + b, -uy))
-    del a, b, ux, uy  # a batch's peak memory is a handful of these arrays
+    del a, b  # a batch's peak memory is a handful of these arrays
     # one vertex at a time: no temporary larger than the result
     h = None
     for xv, yv in zip(x, y):
@@ -52,14 +46,13 @@ def _side_supports(x: np.ndarray, y: np.ndarray, delta, psi) -> tuple[np.ndarray
 
 
 def _witness_vertices(
-    cx: float, cy: float, h1: float, h2: float, hb: float, delta: float, psi: float
+    cx: float, cy: float, h1: float, h2: float, hb: float, sh: float, ch: float, ux: float, uy: float
 ) -> list[tuple[float, float]]:
-    """The vertices, apex first, of the isosceles triangle with apex angle
-    `delta` and axis direction `psi` bounded by the lines at support values
+    """The vertices, apex first, of the isosceles triangle with half apex
+    angle sine `sh` and cosine `ch` and unit axis (`ux`, `uy`), from the
+    base midpoint toward the apex, bounded by the lines at support values
     (h1, h2, hb), measured from (cx, cy), along the outward normals of its
     two legs and its base (see `_side_supports`)."""
-    sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
-    ux, uy = math.cos(psi), math.sin(psi)  # axis: base midpoint -> apex
     apex = ((h1 + h2) / (2.0 * sh), (h2 - h1) / (2.0 * ch))
     base1 = (-hb, -(h1 + hb * sh) / ch)
     base2 = (-hb, (h2 + hb * sh) / ch)
@@ -71,22 +64,23 @@ def _shape_frame(
     triangles: Sequence[Triangle],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float, float]]]:
     """For each of `triangles`: its vertices relative to its centroid,
-    scaled to unit size (N, 3, 2), its interior angles and the direction
-    angles of the outward normals of its sides, both (N, 3), and its frame
+    scaled to unit size (N, 3, 2), its interior angles (N, 3), the x and y
+    components of its sides' unit outward normals (2, N, 3), and its frame
     (cx, cy, s): the centroid and the scale factor that take the copy back
     to the triangle.
 
-    A container's height and vertices come from sums and differences of
-    support values, which lose the digits of a large offset; about the
-    centroid they keep full precision relative to the triangle's size.
-    Rows are built one at a time in scalar arithmetic, then one
-    `np.arctan2` call gives every row's angles and normals (`math.atan2`
-    differs from it in the last bit on some inputs).
+    Support values taken about the centroid keep full precision relative
+    to the triangle's size, where a large offset would lose digits;
+    `math.fsum` makes the centroid the same for every vertex order.  Each
+    normal is its side turned a quarter turn over the side's length: no
+    angle, so quarter turns, reflections and power-of-two scalings of the
+    input map it exactly.  One `np.arctan2` call gives every row's angles
+    (`math.atan2` differs from it in the last bit on some inputs).
     """
-    coords, frames, ys, xs, quarter_turns = [], [], [], [], []
+    coords, frames, ys, xs = [], [], [], []
     for t in triangles:
         (x0, y0), (x1, y1), (x2, y2) = ((v.x, v.y) for v in t.vertices)
-        cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
+        cx, cy = math.fsum((x0, x1, x2)) / 3.0, math.fsum((y0, y1, y2)) / 3.0
         rel = (x0 - cx, y0 - cy, x1 - cx, y1 - cy, x2 - cx, y2 - cy)
         s = max(map(abs, rel))
         x0, y0, x1, y1, x2, y2 = (c / s for c in rel)
@@ -95,17 +89,17 @@ def _shape_frame(
         ax, ay = (x1 - x0, x2 - x1, x0 - x2), (y1 - y0, y2 - y1, y0 - y2)
         bx, by = (x2 - x0, x0 - x1, x1 - x2), (y2 - y0, y0 - y1, y1 - y2)
         cross = [ax[k] * by[k] - ay[k] * bx[k] for k in range(3)]
-        # the arguments of atan2: (|cross|, dot) for each angle, which keeps
-        # needle angles accurate, then each side's direction
-        ys.append([abs(c) for c in cross] + list(ay))
-        xs.append([ax[k] * bx[k] + ay[k] * by[k] for k in range(3)] + list(ax))
-        # side k's outward normal is a quarter turn clockwise from it when
-        # the vertices wind counter-clockwise
-        quarter_turns.append([math.copysign(0.5 * math.pi, cross[0])])
+        # (|cross|, dot) for each angle, the arguments of atan2, which keeps
+        # needle angles accurate; then each side turned a quarter turn
+        # outward: clockwise if the vertices wind counter-clockwise
+        turn = math.copysign(1.0, cross[0])
+        ys.append([abs(c) for c in cross] + [-turn * c for c in ax])
+        xs.append([ax[k] * bx[k] + ay[k] * by[k] for k in range(3)] + [turn * c for c in ay])
         coords.append(((x0, y0), (x1, y1), (x2, y2)))
         frames.append((cx, cy, s))
-    directions = np.arctan2(ys, xs)
-    return np.array(coords), directions[:, :3], directions[:, 3:] - quarter_turns, frames
+    xy = np.array((xs, ys))
+    normals = xy[..., 3:]
+    return np.array(coords), np.arctan2(xy[1, :, :3], xy[0, :, :3]), normals / np.hypot(*normals), frames
 
 
 def _stationary_apex_angles(a: float) -> list[float]:
@@ -190,49 +184,55 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     return np.array([r + [0.5 * math.pi] * (width - len(r)) for r in rows])
 
 
-def _flush_rotations(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The nine rotations per apex angle at which the base, the first leg or
-    the second leg is flush with an input side, for outward normal angles
-    `normals` (N, 3) and apex angles `deltas` (N, M); returns (N, M, 9)."""
-    half = 0.5 * deltas[..., None]
-    nu = normals[:, None, :]
-    psis = np.empty(deltas.shape + (9,))
-    psis[..., :3] = nu + math.pi
-    np.subtract(nu + 0.5 * math.pi, half, out=psis[..., 3:6])
-    np.add(nu - 0.5 * math.pi, half, out=psis[..., 6:])
-    return psis
+def _flush_axes(normals: np.ndarray, sh: np.ndarray, ch: np.ndarray) -> np.ndarray:
+    """The x and y components (2, N, M, 9) of the nine unit axes per apex
+    angle at which the base, the first leg or the second leg is flush with
+    an input side, for unit outward normals n, `normals` (2, N, 3), and the
+    half apex angles' sines `sh` and cosines `ch` (N, M, 1): -n, then n
+    turned by +/- (pi/2 - delta/2), sh n +/- ch n' with n' = (-ny, nx)."""
+    n = normals[:, :, None, :]
+    a, b = sh * n, ch * np.array((-normals[1], normals[0]))[:, :, None, :]
+    axes = np.empty(a.shape[:-1] + (9,))
+    axes[..., :3], axes[..., 3:6], axes[..., 6:] = -n, a + b, a - b
+    return axes
 
 
 def _container_areas(
-    p: np.ndarray, deltas: np.ndarray, psis: np.ndarray
+    p: np.ndarray, sh: np.ndarray, ch: np.ndarray, axes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Areas of the supporting-line containers of the triangles `p` (N, 3, 2)
-    for the apex angles `deltas` (N, M) at the rotations `psis` (N, M, K):
-    tan(delta/2) * H^2 with H the apex-to-base height.  Returns the areas
-    and the support values (h1, h2, hb) they come from, each (N, M, K)."""
+    for the half apex angle sines `sh` and cosines `ch` (N, M, 1) along the
+    unit axes `axes` (2, N, M, K): tan(delta/2) * H^2 with H the
+    apex-to-base height.  Returns the areas and the support values
+    (h1, h2, hb) they come from, each (N, M, K)."""
     x, y = (p[..., i].T.reshape(3, len(p), 1, 1) for i in (0, 1))
-    delta = deltas[..., None]
-    h1, h2, hb = _side_supports(x, y, delta, psis)
-    height = (h1 + h2) / (2.0 * np.sin(0.5 * delta)) + hb
-    return np.tan(0.5 * delta) * height * height, h1, h2, hb
+    h1, h2, hb = _side_supports(x, y, sh, ch, *axes)
+    height = (h1 + h2) / (2.0 * sh) + hb
+    return sh / ch * height * height, h1, h2, hb
 
 
 def _block_best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
     """`best_shapes` for one block of rows, in one array pass."""
     p, angles, normals, frames = _shape_frame(triangles)
     deltas = _candidate_apex_angles(angles)
-    psis = _flush_rotations(normals, deltas)
-    areas, h1, h2, hb = _container_areas(p, deltas, psis)
-    n, m, k = psis.shape
+    half = 0.5 * deltas[..., None]
+    sh, ch = np.sin(half), np.cos(half)
+    axes = _flush_axes(normals, sh, ch)
+    areas, h1, h2, hb = _container_areas(p, sh, ch, axes)
+    n, m, k = areas.shape
     # each row's argmin plus the row's offset: one index into every
-    # flattened (N, M, K) array, and into deltas after dividing by K
+    # flattened (N, M, K) array, and into the (N, M, 1) ones after dividing by K
     flat = areas.reshape(n, -1).argmin(axis=1) + np.arange(0, n * m * k, m * k)
-    picked = (a.take(flat).tolist() for a in (areas, h1, h2, hb))
-    rotations = [psi % math.tau for psi in psis.take(flat).tolist()]
-    rows = zip(deltas.take(flat // k).tolist(), rotations, *picked, frames)
+    picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
+    rows = zip(*(a.take(flat // k).tolist() for a in (deltas, sh, ch)), *picked, frames)
     return [
-        (delta, psi, area * s * s, _witness_vertices(cx, cy, g1 * s, g2 * s, gb * s, delta, psi))
-        for delta, psi, area, g1, g2, gb, (cx, cy, s) in rows
+        (
+            delta,
+            math.atan2(uy, ux) % math.tau,
+            area * s * s,
+            _witness_vertices(cx, cy, g1 * s, g2 * s, gb * s, hs, hc, ux, uy),
+        )
+        for delta, hs, hc, area, g1, g2, gb, ux, uy, (cx, cy, s) in rows
     ]
 
 
@@ -241,12 +241,12 @@ def best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
     angle, rotation, area, vertices), each row searched on its own centred,
     unit-size copy with its own argmin.
 
-    The rotation is the axis direction, reduced to [0, 2 pi).  The area is
-    the value the argmin picked, times the scale squared.  The vertices,
-    apex first, bound the container at the support values that area came
-    from, scaled back about the triangle's centroid (`_witness_vertices`).
-    The rows are searched in blocks of `_BLOCK_ROWS`, so a batch's memory
-    does not grow with its length.
+    The rotation is atan2 of the chosen unit axis, reduced to [0, 2 pi).
+    The area is the value the argmin picked, times the scale squared.  The
+    vertices, apex first, bound the container at the support values that
+    area came from, scaled back about the triangle's centroid
+    (`_witness_vertices`).  The rows are searched in blocks of
+    `_BLOCK_ROWS`, so a batch's memory does not grow with its length.
     """
     shapes: list[Shape] = []
     for start in range(0, len(triangles), _BLOCK_ROWS):

@@ -151,16 +151,24 @@ def _span(u: float, v: float, w: float) -> float:
 
 def _eps_area(t: Triangle) -> float:
     """Absolute degeneracy threshold for `t`: ``_EPS_AREA_FACTOR`` times the
-    squared diagonal of its bounding box."""
+    squared diagonal of its bounding box, or inf where that overflows."""
     A, B, C = t.A, t.B, t.C
-    return _EPS_AREA_FACTOR * (_span(A.x, B.x, C.x) ** 2 + _span(A.y, B.y, C.y) ** 2)
+    # `** 2`, not `x * x`, which differs from it in the last bit on about one
+    # input in a thousand; a float's ** raises where its * gives inf
+    try:
+        return _EPS_AREA_FACTOR * (_span(A.x, B.x, C.x) ** 2 + _span(A.y, B.y, C.y) ** 2)
+    except OverflowError:
+        return math.inf
 
 
 def _check_nondegenerate(t: Triangle) -> float:
-    """Raise `DegenerateTriangle` unless `t`'s area exceeds `_eps_area`;
-    return its `signed_area`."""
-    signed = signed_area(t)
-    if abs(signed) <= _eps_area(t):
+    """Raise `NonFinite` if `t`'s area or `_eps_area` overflows, and
+    `DegenerateTriangle` unless the area exceeds `_eps_area`; return its
+    `signed_area`."""
+    signed, eps = signed_area(t), _eps_area(t)
+    if not (math.isfinite(signed) and math.isfinite(eps)):
+        raise NonFinite(f"triangle area {abs(signed)} or its threshold {eps} is not finite")
+    if abs(signed) <= eps:
         raise DegenerateTriangle(f"triangle area {abs(signed)} is below threshold")
     return signed
 

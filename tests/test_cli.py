@@ -224,6 +224,14 @@ class TestInvalidInput:
         code, _, err = run(capsys, "min", "--vertices", "0,0,1,0,2,0")
         assert code == 2
 
+    @pytest.mark.parametrize("vertices", ["0,0,1e200,0,0,1e200", "0,0,1e154,0,0,1e154"])
+    def test_overflowing_vertices(self, capsys, vertices):
+        # the area or the degeneracy threshold overflows a float: invalid
+        # input, not a traceback with the exit code of a failed verification
+        code, out, err = run(capsys, "min", "--vertices", vertices)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: triangle area ") and err.endswith(" is not finite\n")
+
     def test_verify_zero_samples(self, capsys):
         code, _, err = run(capsys, "verify", "--samples", "0")
         assert code == 2

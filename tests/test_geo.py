@@ -242,6 +242,19 @@ def test_one_degeneracy_threshold(entry):
     _ENTRY_POINTS[entry](above)
 
 
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "extent",
+    # the threshold overflows to inf; its squares overflow; the area overflows too
+    [1e154, 1e200, 1e300],
+)
+def test_overflowing_triangle_is_non_finite(entry, extent):
+    with pytest.raises(NonFinite):
+        _ENTRY_POINTS[entry](tri(0.0, 0.0, extent, 0.0, 0.0, extent))
+    # the same shape a little smaller is accepted
+    _ENTRY_POINTS[entry](tri(0.0, 0.0, 1e153, 0.0, 0.0, 1e153))
+
+
 def test_needle_corner_angle():
     # acos of the rays' dot product, 1 - 5e-19, rounds to acos(1) = 0
     theta = 1e-9

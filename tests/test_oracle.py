@@ -32,7 +32,7 @@ from isokit.oracle import _witness_flags
 from isokit._search import (
     _candidate_apex_angles,
     _container_areas,
-    _flush_rotations,
+    _flush_axes,
     _shape_frame,
 )
 
@@ -161,17 +161,18 @@ class TestBruteForce:
         grid = np.linspace(1e-3, math.pi - 1e-3, 4001)
         step = grid[1] - grid[0]
         rot = np.linspace(0.0, 2.0 * math.pi, 20001)
+        axes = np.array((np.cos(rot), np.sin(rot)))[:, None, None, :]
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             tri = triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
             p, angles, normals, _ = _shape_frame([tri])
             candidates = _candidate_apex_angles(angles)[0]
-            deltas = grid[None, :]
-            flush = _container_areas(p, deltas, _flush_rotations(normals, deltas))[0][0]
+            sh, ch = np.sin(0.5 * grid[None, :, None]), np.cos(0.5 * grid[None, :, None])
+            flush = _container_areas(p, sh, ch, _flush_axes(normals, sh, ch))[0][0]
             assert flush.shape == (len(grid), 9)
 
             for i in (500, 2000, 3500):
-                dense = _container_areas(p, deltas[:, i : i + 1], rot[None, None, :])[0].min()
+                dense = _container_areas(p, sh[:, i : i + 1], ch[:, i : i + 1], axes)[0].min()
                 assert flush[i].min() <= dense * (1.0 + 1e-12)
 
             for f in flush.T:

@@ -5,6 +5,7 @@ Each case is compared with the closed form on the same shape posed at the
 origin, so a gap measures the oracle alone.
 """
 
+import itertools
 import math
 
 import pytest
@@ -116,6 +117,43 @@ def test_batch_results_match_single_searches():
     assert brute_force_min_isosceles_batch(batch[::-1])[::-1] == together
 
 
+# exact float maps of the plane, each with the power of two it scales areas by
+EXACT_MAPS = {
+    "quarter-turn": (lambda x, y: (-y, x), 0),
+    "reflection": (lambda x, y: (x, -y), 0),
+    "swap": (lambda x, y: (y, x), 0),
+    "scale-2^40": (lambda x, y: (math.ldexp(x, 40), math.ldexp(y, 40)), 80),
+    "scale-2^-30": (lambda x, y: (math.ldexp(x, -30), math.ldexp(y, -30)), -60),
+}
+
+
+@pytest.fixture(scope="module")
+def symmetry_inputs():
+    cts = sample_canonical_triangles(seed=5, count=200, min_angle=math.radians(0.5), scalene_margin=math.radians(0.01))
+    tris = [ct.tri for ct in cts]
+    return tris, [r.min_area for r in brute_force_min_isosceles_batch(tris)]
+
+
+@pytest.mark.parametrize("name", EXACT_MAPS)
+def test_area_invariant_under_exact_maps(symmetry_inputs, name):
+    # the search builds every direction from the side vectors, which these
+    # maps take exactly, so the area must come out bit for bit the same
+    f, area_exponent = EXACT_MAPS[name]
+    tris, areas = symmetry_inputs
+    mapped = [triangle(f(p.x, p.y) for p in t.vertices) for t in tris]
+    assert [r.min_area for r in brute_force_min_isosceles_batch(mapped)] == [math.ldexp(a, area_exponent) for a in areas]
+
+
+def test_area_invariant_under_vertex_order(symmetry_inputs):
+    # moved off the origin, where the sampler puts a vertex, so that the
+    # centroid's sums depend on the order unless they are exactly rounded
+    moved = [triangle((p.x + 0.1, p.y + 0.7) for p in t.vertices) for t in symmetry_inputs[0]]
+    areas = [r.min_area for r in brute_force_min_isosceles_batch(moved)]
+    for order in itertools.permutations(range(3)):
+        reordered = [Triangle(*(t.vertices[i] for i in order)) for t in moved]
+        assert [r.min_area for r in brute_force_min_isosceles_batch(reordered)] == areas, order
+
+
 def far_posed(tri: Triangle, factor: float, direction: float) -> Triangle:
     """`tri` moved by `factor` times its longest side along `direction`."""
     v = tri.vertices
@@ -186,7 +224,8 @@ def test_witness_contains_input():
         assert contains_triangle(result.witness, t)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the needle gap grows like 1e-16 over the smallest angle")
 def test_needle_1e9_gap():
-    # relative_gap is 3.3e-7 here; the cause is not yet established
+    # near a flush rotation the area has a kink in the axis angle, so
+    # rounding that angle costs about one ulp over the smallest angle in
+    # relative area (3.3e-7 here); the search keeps its axes as unit vectors
     assert abs(verify_triangle(triangle_from_angles(1e-9, 0.3)).relative_gap) <= GAP_TOL
