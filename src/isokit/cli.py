@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 from .containers import SpecialContainer, all_special_containers
 from .geo import CanonicalTriangle, GeometryError, Point, ShapeClass, Triangle, canonicalize
@@ -242,6 +243,8 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     its summary and its report bytes fully deterministic."""
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if math.isnan(args.gap_tol):
         raise ValueError("--gap-tol must be a number, got nan")
     triangles = sample_canonical_triangles(
@@ -427,10 +430,21 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _run(args: argparse.Namespace) -> Outcome:
+    """`args.func(args)`, printing each distinct warning it raised on stderr as
+    ``warning: <message>``, without the source path and line Python adds."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        report, lines, code = args.func(args)
+        report, lines, code = _run(args)
         print("\n".join(lines))
         if report is not None and args.out:
             # compact, so that CPython's C encoder writes it

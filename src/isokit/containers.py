@@ -79,7 +79,7 @@ class NearRightAngleWarning(UserWarning):
     third-kind constructions replacing A or B blow up to infinity."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpecialContainer:
     """One isosceles container sharing a side and an endpoint angle with ABC.
 
@@ -91,6 +91,9 @@ class SpecialContainer:
     tri: Triangle
     area: float
     ratio: float
+
+    def __init__(self, variant: ContainerVariant, tri: Triangle, area: float, ratio: float) -> None:
+        self.__dict__.update(variant=variant, tri=tri, area=area, ratio=ratio)
 
     @property
     def kind(self) -> Kind:

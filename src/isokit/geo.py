@@ -77,17 +77,21 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-@dataclass(frozen=True)
+# Point, the records below and those of containers, minimize and oracle fill
+# their dict in one call: a frozen dataclass's generated __init__ sets each
+# field through object.__setattr__, which cost more than the arithmetic
+@dataclass(frozen=True, init=False)
 class Point:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFinite(f"non-finite coordinate ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFinite(f"non-finite coordinate ({x}, {y})")
+        self.__dict__.update(x=x, y=y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Triangle:
     """Three labeled vertices.
 
@@ -100,6 +104,9 @@ class Triangle:
     B: Point
     C: Point
 
+    def __init__(self, A: Point, B: Point, C: Point) -> None:
+        self.__dict__.update(A=A, B=B, C=C)
+
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.A, self.B, self.C)
@@ -111,7 +118,7 @@ class ShapeClass(Enum):
     EQUILATERAL = "equilateral"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CanonicalTriangle:
     """A triangle relabeled so that a = |BC| <= b = |AC| <= c = |AB|.
 
@@ -128,6 +135,11 @@ class CanonicalTriangle:
     gamma: float
     area: float
     shape_class: ShapeClass
+
+    def __init__(
+        self, tri: Triangle, a: float, b: float, c: float, alpha: float, beta: float, gamma: float, area: float, shape_class: ShapeClass
+    ) -> None:
+        self.__dict__.update(tri=tri, a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma, area=area, shape_class=shape_class)
 
 
 def signed_area(t: Triangle) -> float:

@@ -64,7 +64,7 @@ class _SelfContainer:
 SELF_CONTAINER = _SelfContainer()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MinimizerResult:
     """Minimum area/ratio, the minimizing container(s), and the evaluated
     candidates.  `minimizers` holds SpecialContainer items, or the single
@@ -74,6 +74,9 @@ class MinimizerResult:
     min_ratio: float
     minimizers: tuple
     candidates: tuple[SpecialContainer, ...]
+
+    def __init__(self, min_area: float, min_ratio: float, minimizers: tuple, candidates: tuple[SpecialContainer, ...]) -> None:
+        self.__dict__.update(min_area=min_area, min_ratio=min_ratio, minimizers=minimizers, candidates=candidates)
 
     @property
     def is_self(self) -> bool:

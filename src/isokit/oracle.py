@@ -44,7 +44,7 @@ __all__ = [
 _EPS_GEOM = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OracleResult:
     """The least-area container the search found: its area, its vertices
     (apex first), its apex angle in (0, pi) and its axis direction, from the
@@ -55,8 +55,11 @@ class OracleResult:
     apex_angle: float
     rotation: float
 
+    def __init__(self, min_area: float, witness: Triangle, apex_angle: float, rotation: float) -> None:
+        self.__dict__.update(min_area=min_area, witness=witness, apex_angle=apex_angle, rotation=rotation)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class VerificationReport:
     """Closed form vs oracle for one triangle, with the boundary-structure
     checks every true minimizer must satisfy: all input vertices on the
@@ -70,6 +73,15 @@ class VerificationReport:
     min_result: MinimizerResult
     oracle_result: OracleResult
     flags: dict[str, bool]
+
+    def __init__(
+        self, input: CanonicalTriangle, closed_form_area: float, oracle_area: float, relative_gap: float,
+        min_result: MinimizerResult, oracle_result: OracleResult, flags: dict[str, bool],
+    ) -> None:
+        self.__dict__.update(
+            input=input, closed_form_area=closed_form_area, oracle_area=oracle_area, relative_gap=relative_gap,
+            min_result=min_result, oracle_result=oracle_result, flags=flags,
+        )
 
     @property
     def boundary_invariants_ok(self) -> bool:
@@ -175,8 +187,9 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
     side e.  A target whose area exceeds what those allowances let any
     configuration hold is rejected by an area bound before the 2 x 3 x 3
     configurations are tried; the bound answers only where they would all
-    answer False.  On perfbench's `closed_form` inputs a reject takes
-    about 7 us and an accept about 12 us (Xeon, Python 3.11).
+    answer False.  On perfbench's `closed_form` inputs a reject takes about
+    7-9 us and an accept about 17-20 us (`perfbench/run.py --workload
+    closed_form --trace 1`, 2-core Intel Xeon VM, Python 3.11.7).
     """
     mover_ccw, mover_sides, mover_area = _ccw_sides_area(mover)
     target_ccw, target_sides, target_area = _ccw_sides_area(target)

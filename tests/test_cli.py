@@ -237,6 +237,27 @@ class TestInvalidInput:
         assert code == 2
         assert "--samples" in err
 
+    def test_verify_negative_seed(self, capsys):
+        # numpy's own message names no flag
+        assert run(capsys, "verify", "--seed", "-1") == (2, "", "error: --seed must be >= 0, got -1\n")
+
+    def test_near_right_warning_is_one_plain_line(self):
+        # Python's own warning form prints containers.py's path and source line
+        src = str(Path(isokit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "isokit.cli", "containers", "--sides", "3,4,5"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: largest angle is within tolerance of 90 degrees; the containers "
+            "replacing A or B are excluded but numerically unstable nearby\n"
+        )
+        assert ".py" not in proc.stderr
+
 
 class TestVerify:
     def test_small_batch_passes(self, capsys, tmp_path):

@@ -2,9 +2,15 @@
 the public records, and parameters nothing reads."""
 
 import ast
+import copy
 import dataclasses
+import functools
 import inspect
+import math
+import pickle
 from pathlib import Path
+
+import pytest
 
 import isokit
 from isokit import containers, geo, minimize, oracle, sampling
@@ -88,6 +94,59 @@ def test_public_record_fields():
         if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
     }
     assert got == PUBLIC_RECORD_FIELDS
+
+
+@functools.cache
+def _record_samples() -> dict:
+    """One instance of each public record."""
+    report = isokit.verify_triangle(isokit.triangle_from_sides(4.0, 5.0, 6.0))
+    ct = report.input
+    return {
+        "CanonicalTriangle": ct,
+        "MinimizerResult": report.min_result,
+        "OracleResult": report.oracle_result,
+        "Point": ct.tri.A,
+        "SpecialContainer": report.min_result.minimizers[0],
+        "Tolerances": isokit.DEFAULT_TOLERANCES,
+        "Triangle": ct.tri,
+        "VerificationReport": report,
+    }
+
+
+def _hash(obj):
+    try:
+        return hash(obj)
+    except TypeError:  # a VerificationReport holds its flags in a dict
+        return TypeError
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_RECORD_FIELDS))
+def test_record_contract(name):
+    # all but Tolerances build themselves with a plain __init__; everything
+    # else about them is the frozen dataclass's
+    cls, obj = getattr(isokit, name), _record_samples()[name]
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    for field in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, field)
+    same = dataclasses.replace(obj)
+    assert same is not obj and same == obj and _hash(same) == _hash(obj)
+    assert repr(same) == repr(obj)
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.deepcopy(obj) == obj
+
+
+def test_point_rejects_non_finite_coordinates():
+    for make in (
+        lambda: isokit.Point(math.nan, 0.0),
+        lambda: isokit.Point(0.0, math.inf),
+        lambda: dataclasses.replace(isokit.Point(0.0, 0.0), x=math.inf),
+    ):
+        with pytest.raises(isokit.NonFinite):
+            make()
 
 
 # every other public name, by kind: a class, exception or constant that is
