@@ -64,32 +64,22 @@ class VerificationReport:
     """Closed form vs oracle for one triangle, with the boundary-structure
     checks every true minimizer must satisfy: all input vertices on the
     witness boundary, each witness side touching the input, one vertex per
-    midpoint arc, a shared vertex, and a shared side plus endpoint angle."""
+    midpoint arc, a shared vertex, and a shared side plus endpoint angle.
+    The two areas are `min_result.min_area` and `oracle_result.min_area`."""
 
     input: CanonicalTriangle
-    closed_form_area: float
-    oracle_area: float
     relative_gap: float
     min_result: MinimizerResult
     oracle_result: OracleResult
     flags: dict[str, bool]
 
     def __init__(
-        self, input: CanonicalTriangle, closed_form_area: float, oracle_area: float, relative_gap: float,
-        min_result: MinimizerResult, oracle_result: OracleResult, flags: dict[str, bool],
+        self, input: CanonicalTriangle, relative_gap: float, min_result: MinimizerResult,
+        oracle_result: OracleResult, flags: dict[str, bool],
     ) -> None:
         self.__dict__.update(
-            input=input, closed_form_area=closed_form_area, oracle_area=oracle_area, relative_gap=relative_gap,
-            min_result=min_result, oracle_result=oracle_result, flags=flags,
+            input=input, relative_gap=relative_gap, min_result=min_result, oracle_result=oracle_result, flags=flags
         )
-
-    @property
-    def boundary_invariants_ok(self) -> bool:
-        return all(self.flags[k] for k in ("vertices_on_boundary", "sides_touch", "one_per_arc", "shared_vertex"))
-
-    @property
-    def shares_side_and_angle(self) -> bool:
-        return self.flags["shares_side_and_angle"]
 
 
 def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[OracleResult]:
@@ -349,8 +339,6 @@ def _closed_forms(cts: Sequence[CanonicalTriangle]) -> list[MinimizerResult]:
 def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
     return VerificationReport(
         input=ct,
-        closed_form_area=closed.min_area,
-        oracle_area=oracle.min_area,
         relative_gap=(oracle.min_area - closed.min_area) / closed.min_area,
         min_result=closed,
         oracle_result=oracle,

@@ -147,7 +147,7 @@ def test_criterion_4_witness_structure(batch):
         name: sum(1 for r in reports if r.flags[name]) / len(reports) for name in names
     }
     rates["shares_side_and_angle"] = sum(
-        1 for r in reports if r.shares_side_and_angle
+        1 for r in reports if r.flags["shares_side_and_angle"]
     ) / len(reports)
     ok = all(rate == 1.0 for rate in rates.values())
     detail = ", ".join(f"{k}={100 * v:.1f}%" for k, v in rates.items())

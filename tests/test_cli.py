@@ -61,7 +61,7 @@ class TestContainers:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc == json.loads(json.dumps(doc))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["units"] == "radians"
         assert doc["count"] == 7
         ratios = sorted(c["ratio"] for c in doc["containers"])

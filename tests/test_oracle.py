@@ -342,9 +342,8 @@ class TestVerifyTriangle:
         rep = verify_triangle(t345)
         assert rep.relative_gap <= 1e-3
         assert rep.relative_gap >= -1e-9
-        assert rep.boundary_invariants_ok
-        assert rep.shares_side_and_angle
-        assert rep.closed_form_area == pytest.approx(7.5, rel=1e-12)
+        assert all(rep.flags.values()), rep.flags
+        assert rep.min_result.min_area == pytest.approx(7.5, rel=1e-12)
 
     def test_t_star(self):
         rep = verify_triangle(t_star())
@@ -358,8 +357,7 @@ class TestVerifyTriangle:
         for ct in sample_canonical_triangles(seed=29, count=25):
             rep = verify_triangle(ct)
             assert abs(rep.relative_gap) <= 1e-9
-            assert rep.boundary_invariants_ok
-            assert rep.shares_side_and_angle
+            assert all(rep.flags.values()), rep.flags
 
 
 class TestBatchAPI:

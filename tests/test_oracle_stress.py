@@ -72,7 +72,7 @@ def oracle_gap(pts, reference: float) -> float:
 def test_needle(alpha_deg, beta_deg):
     rep = verify_triangle(needle(alpha_deg, beta_deg))
     assert abs(rep.relative_gap) <= GAP_TOL
-    assert rep.boundary_invariants_ok
+    assert all(rep.flags[k] for k in ("vertices_on_boundary", "sides_touch", "one_per_arc", "shared_vertex")), rep.flags
 
 
 @pytest.mark.parametrize("offset", OFFSETS)

@@ -74,15 +74,7 @@ PUBLIC_RECORD_FIELDS = {
     "SpecialContainer": ("variant", "tri", "area", "ratio"),
     "Tolerances": ("eps_len", "eps_angle", "eps_num", "eps_tie"),
     "Triangle": ("A", "B", "C"),
-    "VerificationReport": (
-        "input",
-        "closed_form_area",
-        "oracle_area",
-        "relative_gap",
-        "min_result",
-        "oracle_result",
-        "flags",
-    ),
+    "VerificationReport": ("input", "relative_gap", "min_result", "oracle_result", "flags"),
 }
 
 
