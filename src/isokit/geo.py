@@ -231,19 +231,19 @@ def canonicalize(t: Triangle) -> CanonicalTriangle:
     else:
         shape = ShapeClass.SCALENE
 
-    alpha = _angle_between(bx - ax, by - ay, cx - ax, cy - ay)
-    beta = _angle_between(cx - bx, cy - by, ax - bx, ay - by)
-    gamma = _angle_between(ax - cx, ay - cy, bx - cx, by - cy)
-    tri = Triangle(verts[i], verts[j], verts[k])
+    # twice the area, taken once at C: its angle is the largest, so its two
+    # sides do not cancel in the cross product as a needle's sides at A do.
+    # It is the |cross| of all three angles' atan2 (see `_angle_between`).
+    cross = abs((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
     return CanonicalTriangle(
-        tri=tri,
+        tri=Triangle(verts[i], verts[j], verts[k]),
         a=a,
         b=b,
         c=c,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        area=area(tri),
+        alpha=math.atan2(cross, (bx - ax) * (cx - ax) + (by - ay) * (cy - ay)),
+        beta=math.atan2(cross, (cx - bx) * (ax - bx) + (cy - by) * (ay - by)),
+        gamma=math.atan2(cross, (ax - cx) * (bx - cx) + (ay - cy) * (by - cy)),
+        area=0.5 * cross,
         shape_class=shape,
     )
 

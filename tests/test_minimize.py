@@ -318,6 +318,31 @@ EXACT_REFEREE_INPUTS = pytest.mark.parametrize(
 )
 
 
+def rotated_needles(seed: int = 2001, count: int = 200) -> list:
+    """Scalene needles of circumdiameter 1: smallest angle log-uniform in
+    [1e-9, 1e-3], the middle one uniform in [0.01, 0.5] (so the two long
+    sides differ by more than ``eps_len``), turned by a uniform rotation
+    about the origin, which leaves no side on an axis."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    alphas = 10.0 ** rng.uniform(-9.0, -3.0, count)
+    betas = rng.uniform(0.01, 0.5, count)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, count)
+    cts = []
+    for alpha, beta, theta in zip(alphas.tolist(), betas.tolist(), thetas.tolist()):
+        c, s = math.cos(theta), math.sin(theta)
+        tri = triangle_from_angles(alpha, beta).tri
+        cts.append(canonicalize(Triangle(*(Point(c * p.x - s * p.y, s * p.x + c * p.y) for p in tri.vertices))))
+    return cts
+
+
+# relative bound of both areas on `rotated_needles`, 3.7 times the closed
+# form's worst measured there (2.7e-15): the cross product at the largest
+# angle is conditioned by that angle's sine, at least the middle angle's
+ROTATED_NEEDLE_AREA_TOL = 1e-14
+
+
 class TestExactReferee:
     @EXACT_REFEREE_INPUTS
     def test_closed_form_matches_exact_minimum(self, cts):
@@ -334,6 +359,24 @@ class TestExactReferee:
         # measured on these 3002 inputs: at most 8.5e-16
         cts = cts()
         lo, hi = (1 - Fraction(2e-15)) ** 2, (1 + Fraction(2e-15)) ** 2
+        for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
+            exact = exact_min_area_squared(ct)
+            assert lo * exact <= Fraction(result.min_area) ** 2 <= hi * exact
+
+    def test_closed_form_area_on_rotated_needles(self):
+        lo, hi = (1 - Fraction(ROTATED_NEEDLE_AREA_TOL)) ** 2, (1 + Fraction(ROTATED_NEEDLE_AREA_TOL)) ** 2
+        for ct in rotated_needles():
+            exact = exact_min_area_squared(ct)
+            assert lo * exact <= Fraction(minimum_isosceles_container(ct).min_area) ** 2 <= hi * exact
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the oracle searches the triangle at its own rotation, where a needle's support values "
+        "cancel: about 2e-7 relative at smallest angle 1e-9",
+    )
+    def test_oracle_area_on_rotated_needles(self):
+        cts = rotated_needles()
+        lo, hi = (1 - Fraction(ROTATED_NEEDLE_AREA_TOL)) ** 2, (1 + Fraction(ROTATED_NEEDLE_AREA_TOL)) ** 2
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
             exact = exact_min_area_squared(ct)
             assert lo * exact <= Fraction(result.min_area) ** 2 <= hi * exact
