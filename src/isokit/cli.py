@@ -152,6 +152,8 @@ def _triangle_from_json(path: str) -> CanonicalTriangle:
     tri = doc.get("triangle") if isinstance(doc, dict) else None
     if not isinstance(tri, dict):
         raise ValueError(f"{path}: missing 'triangle' object")
+    if "sides" in tri and "vertices" in tri:
+        raise ValueError(f"{path}: triangle needs one of 'sides' and 'vertices', got both")
     if "sides" in tri:
         if _floats(tri["sides"], 3):
             return triangle_from_sides(*tri["sides"])

@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DEFAULT_MIN_ANGLE",
     "DEFAULT_SCALENE_MARGIN",
-    "sample_scalene_angles",
     "triangle_from_angles",
     "triangle_from_sides",
     "sample_canonical_triangles",
@@ -32,11 +31,14 @@ DEFAULT_MIN_ANGLE = math.radians(5.0)
 DEFAULT_SCALENE_MARGIN = math.radians(1.0)
 
 
-def _draw_angles(rng: np.random.Generator, size: int | None, min_angle: float, scalene_margin: float):
-    """(alpha, beta) of `size` triangles, one if None, from one Dirichlet
-    call: each sorted Dirichlet(1, 1, 1) draw x, times pi, maps to
-    alpha = m + s x0, beta = m + g + s x1 (and gamma = m + 2g + s x2), with
-    m = min_angle+, g = scalene_margin+ and s = (pi - 3m - 3g) / pi."""
+def _draw_angles(rng: np.random.Generator, size: int, min_angle: float, scalene_margin: float):
+    """(alpha, beta) arrays of `size` triangles from one Dirichlet call,
+    uniform on the triples alpha <= beta <= gamma with alpha >= min_angle and
+    both gaps >= scalene_margin: each sorted Dirichlet(1, 1, 1) draw x, times
+    pi, maps to alpha = m + s x0, beta = m + g + s x1 (and gamma =
+    m + 2g + s x2), with m = min_angle+, g = scalene_margin+, x+ = max(x, 0)
+    and s = (pi - 3m - 3g) / pi.  Margins that leave s at or below 0, or
+    NaN, raise `ValueError`."""
     m, g = max(min_angle, 0.0), max(scalene_margin, 0.0)
     s = (math.pi - 3.0 * m - 3.0 * g) / math.pi
     if not s > 0.0:  # NaN margins leave no triangle either
@@ -47,20 +49,6 @@ def _draw_angles(rng: np.random.Generator, size: int | None, min_angle: float, s
     x = math.pi * rng.dirichlet((1.0, 1.0, 1.0), size)
     x.sort(axis=-1)
     return m + s * x[..., 0], m + g + s * x[..., 1]
-
-
-def sample_scalene_angles(
-    rng: np.random.Generator,
-    min_angle: float = DEFAULT_MIN_ANGLE,
-    scalene_margin: float = DEFAULT_SCALENE_MARGIN,
-) -> tuple[float, float, float]:
-    """One angle triple alpha <= beta <= gamma, from one Dirichlet draw of
-    `rng`, uniform on the triples with alpha >= min_angle and both gaps >=
-    scalene_margin: the ordered simplex shrunk by the factor
-    (pi - 3 min_angle+ - 3 scalene_margin+) / pi, where x+ = max(x, 0).
-    Margins that leave the factor at or below 0, or NaN, raise `ValueError`."""
-    alpha, beta = (float(v) for v in _draw_angles(rng, None, min_angle, scalene_margin))
-    return alpha, beta, math.pi - alpha - beta
 
 
 def _bad_angles(alpha: float, beta: float) -> bool:
@@ -105,7 +93,7 @@ def sample_canonical_triangles(
     scalene_margin: float = DEFAULT_SCALENE_MARGIN,
 ) -> list[CanonicalTriangle]:
     """Deterministic batch of scalene triangles, circumdiameter 1, for the
-    given seed: the angles of `sample_scalene_angles`, all drawn in one call."""
+    given seed: the angles of `_draw_angles`, all drawn in one call."""
     # imported on first use, so that `import isokit` does not load numpy
     import numpy as np
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from isokit import (
+    DEFAULT_MIN_ANGLE,
+    DEFAULT_SCALENE_MARGIN,
     DEFAULT_TOLERANCES,
     Kind,
     Point,
@@ -25,7 +27,6 @@ from isokit import (
     first_kind_ratio,
     minimum_isosceles_container,
     sample_canonical_triangles,
-    sample_scalene_angles,
     second_kind,
     t_star,
     third_kind,
@@ -34,6 +35,7 @@ from isokit import (
     triangle_from_sides,
     verify_triangles,
 )
+from isokit.sampling import _draw_angles
 
 SEED = 42
 SQRT2 = math.sqrt(2.0)
@@ -302,9 +304,11 @@ def test_criterion_9_can_cover_soundness(batch):
     rng = np.random.default_rng(SEED + 2)
     n_containers = 0
     ok_containers = True
-    produced = 0
+    produced = draws = 0
     while produced < 100:
-        al, be, ga = sample_scalene_angles(rng)
+        (al,), (be,) = (v.tolist() for v in _draw_angles(rng, 1, DEFAULT_MIN_ANGLE, DEFAULT_SCALENE_MARGIN))
+        ga = math.pi - al - be
+        draws += 1
         if ga >= math.radians(88.0):
             continue
         ct = triangle_from_angles(al, be)
@@ -314,6 +318,12 @@ def test_criterion_9_can_cover_soundness(batch):
         for sc in containers:
             n_containers += 1
             ok_containers = ok_containers and can_cover(sc.tri, ct.tri)
+
+    # a one-row draw reads the stream as an unsized draw does, bit for bit,
+    # so these are the triangles that single draws gave
+    sized, unsized = np.random.default_rng(SEED + 2), np.random.default_rng(SEED + 2)
+    ones = (1.0, 1.0, 1.0)
+    assert all(np.array_equal(sized.dirichlet(ones, 1)[0], unsized.dirichlet(ones)) for _ in range(draws))
 
     ok = ok_reflexive and ok_monotone and ok_containers
     _line(

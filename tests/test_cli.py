@@ -136,6 +136,14 @@ class TestMin:
         assert out == ""
         assert err == f"error: {path}: 'sides' must be 3 numbers and 'vertices' 3 [x, y] pairs\n"
 
+    def test_json_both_forms_exit_2(self, capsys, tmp_path):
+        # one representation, as on the command line: sides do not win over vertices
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"triangle": {"sides": [3, 4, 5], "vertices": [[0, 0], [1, 0], [0, 9]]}}))
+        code, out, err = run(capsys, "min", "--json", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: triangle needs one of 'sides' and 'vertices', got both\n"
+
     def test_json_int_too_large_for_a_float_exits_2(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"triangle": {"sides": [10**400, 4, 5]}}))
@@ -271,6 +279,17 @@ class TestVerify:
         assert doc["pass"] is True
         assert len(doc["cases"]) == 5
         assert doc == json.loads(json.dumps(doc))
+
+    def test_schema_2_report_shape(self, capsys, tmp_path):
+        # the envelope is written once, at the top; each case holds six keys
+        path = tmp_path / "cases.json"
+        code, _, _ = run(capsys, "verify", "--samples", "5", "--seed", "42", "--out", str(path))
+        assert code == 0
+        doc = json.loads(path.read_text())
+        assert (doc["schema_version"], doc["units"]) == (2, "radians")
+        keys = {"triangle", "closed_form_area", "oracle_area", "relative_gap", "min_ratio", "flags"}
+        assert all(case.keys() == keys for case in doc["cases"])
+        assert all(case["flags"].keys() == set(doc["invariant_pass_rates"]) for case in doc["cases"])
 
     def test_deterministic_output(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

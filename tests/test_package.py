@@ -44,7 +44,6 @@ PUBLIC_PARAMETERS = {
     "minimum_isosceles_container": ("ct",),
     "ratio_crossing": ("beta",),
     "sample_canonical_triangles": ("seed", "count", "min_angle", "scalene_margin"),
-    "sample_scalene_angles": ("rng", "min_angle", "scalene_margin"),
     "second_kind": ("ct",),
     "signed_area": ("t",),
     "t_star": (),

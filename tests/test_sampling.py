@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from isokit import (
+    DEFAULT_MIN_ANGLE,
+    DEFAULT_SCALENE_MARGIN,
     ShapeClass,
     sample_canonical_triangles,
-    sample_scalene_angles,
     triangle_from_angles,
     triangle_from_sides,
 )
+from isokit.sampling import _draw_angles
+
+
+def one_triple(rng, min_angle=DEFAULT_MIN_ANGLE, scalene_margin=DEFAULT_SCALENE_MARGIN):
+    """(alpha, beta, gamma) of a one-row `_draw_angles` draw."""
+    (alpha,), (beta,) = (v.tolist() for v in _draw_angles(rng, 1, min_angle, scalene_margin))
+    return alpha, beta, math.pi - alpha - beta
 
 
 def test_batch_deterministic():
@@ -28,7 +36,7 @@ def test_batch_seed_sensitivity():
 def test_margins_respected():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        al, be, ga = sample_scalene_angles(rng)
+        al, be, ga = one_triple(rng)
         assert al >= math.radians(5.0)
         assert be - al >= math.radians(1.0)
         assert ga - be >= math.radians(1.0)
@@ -60,9 +68,9 @@ class _SpyGenerator:
 
 
 def test_batch_is_sequential_single_draws():
-    # one formula: the batch maps the same draws the single sampler maps
+    # one formula: the batch maps the same draws that one-row draws map
     rng = np.random.default_rng(11)
-    singles = [triangle_from_angles(*sample_scalene_angles(rng)[:2]) for _ in range(50)]
+    singles = [triangle_from_angles(*one_triple(rng)[:2]) for _ in range(50)]
     assert [ct.tri for ct in sample_canonical_triangles(11, 50)] == [ct.tri for ct in singles]
 
 
@@ -73,7 +81,7 @@ def test_margins_near_the_bound(monkeypatch):
         lo, gap = math.radians(min_angle), math.radians(scalene_margin)
         spy = _SpyGenerator(0)
         for _ in range(100):
-            al, be, ga = sample_scalene_angles(spy, lo, gap)
+            al, be, ga = one_triple(spy, lo, gap)
             assert al >= lo and be - al >= gap - 1e-12 and ga - be >= gap - 1e-12
         assert spy.dirichlet_calls == 100
 
