@@ -1,5 +1,6 @@
-"""The oracle's array search: the flush containers of a batch of triangles,
-evaluated in numpy passes over fixed-size blocks of rows (see
+"""The oracle's array search: the flush containers of a batch of canonical
+triangles, evaluated in numpy passes over fixed-size blocks of rows, each
+on the unit copy `canonicalize` defines (see
 `oracle.brute_force_min_isosceles_batch`).  Each row's least-area container
 comes back with its witness vertices, built here from the support values
 the search computed, without a second pass over the triangle.
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import Triangle
+from .geo import CanonicalTriangle, signed_area
 
 # rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays
 _BLOCK_ROWS = 512
@@ -61,45 +62,37 @@ def _witness_vertices(
 
 
 def _shape_frame(
-    triangles: Sequence[Triangle],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float, float]]]:
-    """For each of `triangles`: its vertices relative to its centroid,
-    scaled to unit size (N, 3, 2), its interior angles (N, 3), the x and y
-    components of its sides' unit outward normals (2, N, 3), and its frame
-    (cx, cy, s): the centroid and the scale factor that take the copy back
-    to the triangle.
+    cts: Sequence[CanonicalTriangle],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float, float, float, float, float]]]:
+    """For each of `cts`: its unit copy (N, 3, 2), its interior angles
+    (N, 3), the x and y components of its sides' unit outward normals
+    (2, N, 3), and its frame (A.x, A.y, ux, uy, c, s): the vertex A, the
+    unit vector u from A to B, the longest side c and the orientation sign
+    s, which take the copy back to the triangle.
 
-    Support values taken about the centroid keep full precision relative
-    to the triangle's size, where a large offset would lose digits;
-    `math.fsum` makes the centroid the same for every vertex order.  Each
-    normal is its side turned a quarter turn over the side's length: no
-    angle, so quarter turns, reflections and power-of-two scalings of the
-    input map it exactly.  One `np.arctan2` call gives every row's angles
-    (`math.atan2` differs from it in the last bit on some inputs).
+    The copy is the one `canonicalize` defines: the longest side AB from
+    (0, 0) to (1, 0) and C at (b/c)(cos alpha, sin alpha), so the sides AB,
+    BC and CA have outward normals (0, -1), (sin beta, cos beta) and
+    (-sin alpha, cos alpha), and the angles are `ct.alpha`, `ct.beta` and
+    `ct.gamma`.  It depends on lengths and angles alone, so quarter turns,
+    reflections, power-of-two scalings and vertex orders of the input give
+    the same copy bit for bit, and a needle's support values do not cancel
+    at any rotation.  The point (x, y) of the copy is A + c (x u + s y u') on the
+    triangle, with u' = (-uy, ux) and s = -1 where A, B, C wind clockwise.
     """
-    coords, frames, ys, xs = [], [], [], []
-    for t in triangles:
-        (x0, y0), (x1, y1), (x2, y2) = ((v.x, v.y) for v in t.vertices)
-        cx, cy = math.fsum((x0, x1, x2)) / 3.0, math.fsum((y0, y1, y2)) / 3.0
-        rel = (x0 - cx, y0 - cy, x1 - cx, y1 - cy, x2 - cx, y2 - cy)
-        s = max(map(abs, rel))
-        x0, y0, x1, y1, x2, y2 = (c / s for c in rel)
-        # side k runs from vertex k to k + 1 (a), the other side at vertex k
-        # from there to k + 2 (b)
-        ax, ay = (x1 - x0, x2 - x1, x0 - x2), (y1 - y0, y2 - y1, y0 - y2)
-        bx, by = (x2 - x0, x0 - x1, x1 - x2), (y2 - y0, y0 - y1, y1 - y2)
-        cross = [ax[k] * by[k] - ay[k] * bx[k] for k in range(3)]
-        # (|cross|, dot) for each angle, the arguments of atan2, which keeps
-        # needle angles accurate; then each side turned a quarter turn
-        # outward: clockwise if the vertices wind counter-clockwise
-        turn = math.copysign(1.0, cross[0])
-        ys.append([abs(c) for c in cross] + [-turn * c for c in ax])
-        xs.append([ax[k] * bx[k] + ay[k] * by[k] for k in range(3)] + [turn * c for c in ay])
-        coords.append(((x0, y0), (x1, y1), (x2, y2)))
-        frames.append((cx, cy, s))
-    xy = np.array((xs, ys))
-    normals = xy[..., 3:]
-    return np.array(coords), np.arctan2(xy[1, :, :3], xy[0, :, :3]), normals / np.hypot(*normals), frames
+    angles = np.array([(ct.alpha, ct.beta, ct.gamma) for ct in cts])
+    sin, cos = np.sin(angles), np.cos(angles)
+    r = np.array([ct.b / ct.c for ct in cts])
+    coords = np.zeros((len(cts), 3, 2))
+    coords[:, 1, 0] = 1.0
+    coords[:, 2, 0], coords[:, 2, 1] = r * cos[:, 0], r * sin[:, 0]
+    normals = np.array(((np.zeros(len(cts)), sin[:, 1], -sin[:, 0]), (-np.ones(len(cts)), cos[:, 1], cos[:, 0])))
+    frames = []
+    for ct in cts:
+        A, B = ct.tri.A, ct.tri.B
+        s = math.copysign(1.0, signed_area(ct.tri))
+        frames.append((A.x, A.y, (B.x - A.x) / ct.c, (B.y - A.y) / ct.c, ct.c, s))
+    return coords, angles, normals.transpose(0, 2, 1), frames
 
 
 def _stationary_apex_angles(a: float) -> list[float]:
@@ -211,9 +204,9 @@ def _container_areas(
     return sh / ch * height * height, h1, h2, hb
 
 
-def _block_best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
+def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
     """`best_shapes` for one block of rows, in one array pass."""
-    p, angles, normals, frames = _shape_frame(triangles)
+    p, angles, normals, frames = _shape_frame(cts)
     deltas = _candidate_apex_angles(angles)
     half = 0.5 * deltas[..., None]
     sh, ch = np.sin(half), np.cos(half)
@@ -224,31 +217,33 @@ def _block_best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
     # flattened (N, M, K) array, and into the (N, M, 1) ones after dividing by K
     flat = areas.reshape(n, -1).argmin(axis=1) + np.arange(0, n * m * k, m * k)
     picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
-    rows = zip(*(a.take(flat // k).tolist() for a in (deltas, sh, ch)), *picked, frames)
-    return [
-        (
-            delta,
-            math.atan2(uy, ux) % math.tau,
-            area * s * s,
-            _witness_vertices(cx, cy, g1 * s, g2 * s, gb * s, hs, hc, ux, uy),
-        )
-        for delta, hs, hc, area, g1, g2, gb, ux, uy, (cx, cy, s) in rows
-    ]
+    shapes = []
+    for delta, hs, hc, area, g1, g2, gb, vx, vy, (x, y, ux, uy, c, s) in zip(
+        *(a.take(flat // k).tolist() for a in (deltas, sh, ch)), *picked, frames
+    ):
+        # the axis on the triangle; a mirrored copy turns the first leg's
+        # outward normal into the second's
+        ax, ay = vx * ux - s * vy * uy, vx * uy + s * vy * ux
+        if s < 0.0:
+            g1, g2 = g2, g1
+        vertices = _witness_vertices(x, y, g1 * c, g2 * c, gb * c, hs, hc, ax, ay)
+        shapes.append((delta, math.atan2(ay, ax) % math.tau, area * c * c, vertices))
+    return shapes
 
 
-def best_shapes(triangles: Sequence[Triangle]) -> list[Shape]:
-    """The least-area flush container of each of `triangles`, as (apex
-    angle, rotation, area, vertices), each row searched on its own centred,
-    unit-size copy with its own argmin.
+def best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
+    """The least-area flush container of each of `cts`, as (apex angle,
+    rotation, area, vertices), each row searched on its unit copy (see
+    `_shape_frame`) with its own argmin.
 
-    The rotation is atan2 of the chosen unit axis, reduced to [0, 2 pi).
-    The area is the value the argmin picked, times the scale squared.  The
-    vertices, apex first, bound the container at the support values that
-    area came from, scaled back about the triangle's centroid
+    The rotation is atan2 of the chosen unit axis, mapped back to the
+    triangle, reduced to [0, 2 pi).  The area is the value the argmin
+    picked, times c squared.  The vertices, apex first, bound the container
+    at the support values that area came from, times c, about the vertex A
     (`_witness_vertices`).  The rows are searched in blocks of
     `_BLOCK_ROWS`, so a batch's memory does not grow with its length.
     """
     shapes: list[Shape] = []
-    for start in range(0, len(triangles), _BLOCK_ROWS):
-        shapes += _block_best_shapes(triangles[start : start + _BLOCK_ROWS])
+    for start in range(0, len(cts), _BLOCK_ROWS):
+        shapes += _block_best_shapes(cts[start : start + _BLOCK_ROWS])
     return shapes

@@ -174,6 +174,8 @@ def _resolve_triangle(args: argparse.Namespace) -> CanonicalTriangle:
             "provide exactly one of --sides, --vertices, --angles, --preset, --json"
             + (f" (got {', '.join(given)})" if given else "")
         )
+    if args.scale is not None and not args.angles:
+        raise ValueError(f"--scale applies only to --angles (got {given[0]})")
     if args.sides:
         a, b, c = _parse_floats(args.sides, 3, "--sides")
         return triangle_from_sides(a, b, c)
@@ -188,7 +190,7 @@ def _resolve_triangle(args: argparse.Namespace) -> CanonicalTriangle:
             raise ValueError(
                 f"--angles: need alpha > 0, beta > 0, alpha + beta < 180, got {alpha_deg}, {beta_deg}"
             )
-        return triangle_from_angles(alpha, beta, args.scale)
+        return triangle_from_angles(alpha, beta, 1.0 if args.scale is None else args.scale)
     if args.preset:
         return t_star()
     return _triangle_from_json(args.json)
@@ -271,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
     )
     report["pass"] = ok = (
         report["max_relative_gap"] <= args.gap_tol
-        and report["min_relative_gap"] >= -1e-9
+        and report["min_relative_gap"] >= -1e-11
         and all(rate == 1.0 for rate in rates.values())
         and report["max_min_ratio"] < SQRT2 - 1e-9
     )
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sides", help="three side lengths, e.g. 3,4,5")
         p.add_argument("--vertices", help="six coordinates x1,y1,x2,y2,x3,y3")
         p.add_argument("--angles", help="two interior angles in degrees, e.g. 50,60")
-        p.add_argument("--scale", type=float, default=1.0, help="circumdiameter for --angles (default 1)")
+        p.add_argument("--scale", type=float, help="circumdiameter for --angles (default 1)")
         p.add_argument("--preset", choices=["t-star"], help="built-in triangle")
         p.add_argument("--json", help="read the triangle from a JSON document")
 
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--min-angle", type=float, default=math.degrees(DEFAULT_MIN_ANGLE), help="sampling: minimum angle in degrees (default 5)")
     p.add_argument("--scalene-margin", type=float, default=math.degrees(DEFAULT_SCALENE_MARGIN), help="sampling: pairwise angle margin in degrees (default 1)")
-    p.add_argument("--gap-tol", type=float, default=1e-3, help="max allowed relative gap (default 1e-3)")
+    p.add_argument("--gap-tol", type=float, default=1e-11, help="max allowed relative gap (default 1e-11)")
 
     commands["extremal"].add_argument("mode", choices=list(_EXTREMAL_MODES))
     commands["svg"].add_argument("--which", default="all", choices=["all", "first", "second", "third", "min"], help="container selector (default all)")

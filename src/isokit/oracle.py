@@ -26,6 +26,7 @@ from .geo import (
     _angle_between,
     _check_nondegenerate,
     _check_scalene,
+    canonicalize,
 )
 from .minimize import MinimizerResult, minimum_isosceles_container
 
@@ -100,27 +101,26 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     `_search._candidate_apex_angles`).  The minimum is at one of those apex angles,
     each evaluated at all nine flush rotations.
 
-    The triangles go through array passes over fixed-size blocks of rows,
-    each on its own centred, unit-size copy and with its own argmin, so a
-    result does not depend on the rest of the batch.  `min_area` is the
-    least area the search found on that copy, scaled back.  The witness is
-    the container bounded by the support values that area came from, which
-    the search builds itself (`_search.best_shapes`).  Every triangle is
-    checked before the search, against the fixed degeneracy threshold of
-    `canonicalize`; the search takes no tolerances.  Deterministic: ties go
-    to the first candidate.
+    Every triangle goes through `canonicalize` before the search, which
+    raises its errors.  The search runs array passes over fixed-size blocks
+    of rows, each on the unit copy `canonicalize` defines (longest side
+    from (0, 0) to (1, 0)) and with its own argmin, so a result does not
+    depend on the rest of the batch, nor on the triangle's pose.
+    `min_area` is the least area the search found on that copy, times the
+    longest side squared.  The witness is the container bounded by the
+    support values that area came from, which the search builds itself
+    (`_search.best_shapes`).  The search takes no tolerances.
+    Deterministic: ties go to the first candidate.
     """
-    triangles = list(triangles)
-    if not triangles:
+    cts = [canonicalize(t) for t in triangles]
+    if not cts:
         return []
-    for t in triangles:
-        _check_nondegenerate(t)
     # imported on first use, so that `import isokit` does not load numpy
     from ._search import best_shapes
 
     return [
         OracleResult(min_area, Triangle(*(Point(x, y) for x, y in vertices)), apex_angle, rotation)
-        for apex_angle, rotation, min_area, vertices in best_shapes(triangles)
+        for apex_angle, rotation, min_area, vertices in best_shapes(cts)
     ]
 
 

@@ -224,6 +224,19 @@ class TestInvalidInput:
         if rejected:
             assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min", "--sides", "3,4,5", "--scale", "2"],
+            ["containers", "--preset", "t-star", "--scale", "5"],
+        ],
+    )
+    def test_scale_without_angles(self, capsys, argv):
+        # --scale sizes an --angles triangle only; elsewhere it was ignored
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --scale applies only to --angles (got {argv[1]})\n"
+
     def test_bad_number(self, capsys):
         code, _, err = run(capsys, "min", "--sides", "3,4,x")
         assert code == 2
@@ -332,6 +345,18 @@ class TestVerify:
             "relative_gap": -4e-13,
         }
         assert out.splitlines()[-2].startswith("worst case: index 1, relative gap = -4e-13, vertices (0, 0) ")
+
+    @pytest.mark.parametrize("gap", [1e-10, -1e-10])
+    def test_gap_beyond_default_tolerance_exits_1(self, capsys, monkeypatch, gap):
+        # the default bounds are 1e-11 each way, far above the measured
+        # |gap| (below 1.3e-14) and far below a lost digit of the oracle
+        def with_gaps(cts):
+            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts), [1e-13, gap])]
+
+        monkeypatch.setattr(cli, "verify_triangles", with_gaps)
+        code, out, _ = run(capsys, "verify", "--samples", "2", "--seed", "3")
+        assert code == 1
+        assert out.endswith("FAIL\n")
 
     def test_violation_exits_1(self, capsys, tmp_path):
         # the relative gap (oracle - closed) / closed exceeds -1 for every

@@ -164,8 +164,8 @@ class TestBruteForce:
         axes = np.array((np.cos(rot), np.sin(rot)))[:, None, None, :]
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
-            tri = triangle_from_angles(math.pi * u, math.pi * (v - u)).tri
-            p, angles, normals, _ = _shape_frame([tri])
+            ct = triangle_from_angles(math.pi * u, math.pi * (v - u))
+            p, angles, normals, _ = _shape_frame([ct])
             candidates = _candidate_apex_angles(angles)[0]
             sh, ch = np.sin(0.5 * grid[None, :, None]), np.cos(0.5 * grid[None, :, None])
             flush = _container_areas(p, sh, ch, _flush_axes(normals, sh, ch))[0][0]
@@ -195,7 +195,7 @@ class TestBruteForce:
     def test_right_and_obtuse_input(self, ct):
         # a right or obtuse angle A has no kink pi - 2A in (0, pi)
         assert abs(ct.gamma - 0.5 * math.pi) <= 1e-12 or ct.gamma > 0.6 * math.pi
-        candidates = _candidate_apex_angles(_shape_frame([ct.tri])[1])
+        candidates = _candidate_apex_angles(_shape_frame([ct])[1])
         assert np.all((candidates > 0.0) & (candidates < math.pi))
         assert abs(verify_triangle(ct).relative_gap) <= 1e-9
 
