@@ -6,7 +6,9 @@ with X = P + s*(R - P) on the ray from P through the third vertex R, and its
 area is exactly s times the input's: the ratio is s.  P and Q keep their
 input slots bitwise intact and X takes R's slot, so "shares a side" is
 testable with exact equality.  All constructions work in the input's own
-coordinate frame.  s depends only on where the apex is:
+coordinate frame.  A container is stored as its variant, its input and s,
+and X is built only where a caller reads it.  s depends only on where the
+apex is:
 
 First kind   AB'C, ABC', ABC''   apex P, |PX| = |PQ|:  s = |PQ| / |PR|
 Second kind  AB1C, ABC1, ABC2    apex Q, |QX| = |QP|:  s = 2 (Q-P).(R-P) / |PR|^2
@@ -83,17 +85,29 @@ class NearRightAngleWarning(UserWarning):
 class SpecialContainer:
     """One isosceles container sharing a side and an endpoint angle with ABC.
 
-    `tri` keeps the two original vertices in their input slots, with the new
-    auxiliary point in the replaced slot.
+    The record is the variant, the input and the ratio s; everything else is
+    computed on read.  `area` is ``ratio * input.area``.  `tri` keeps the
+    two original vertices P and Q bitwise in their input slots, with the new
+    vertex X = P + s*(R - P) in R's slot; `new_vertex` is X alone.  Each
+    read of `tri` or `new_vertex` builds it again, so a caller that reads
+    only ratios or areas builds no points, and any later rounding of X
+    (outward, for exact containment) costs only where X is read.
+
+    No error waits for the read.  X is finite: `canonicalize` rejects
+    extents above about 1.3e154, and |PX| = s*|PR| is at most 2c for the
+    first and second kinds, c / (2 cos gamma) < c / (2 eps_angle) for the
+    third-kind containers replacing A or B, and c / (2 cos beta) for ABCbar,
+    where cos beta > sin(alpha / 2) and the degeneracy threshold keeps
+    sin(alpha) above 2e-12.  So |PX| stays below about 1e166, far under
+    the float range, and the `Point` that X builds never raises.
     """
 
     variant: ContainerVariant
-    tri: Triangle
-    area: float
+    input: CanonicalTriangle
     ratio: float
 
-    def __init__(self, variant: ContainerVariant, tri: Triangle, area: float, ratio: float) -> None:
-        self.__dict__.update(variant=variant, tri=tri, area=area, ratio=ratio)
+    def __init__(self, variant: ContainerVariant, input: CanonicalTriangle, ratio: float) -> None:
+        self.__dict__.update(variant=variant, input=input, ratio=ratio)
 
     @property
     def kind(self) -> Kind:
@@ -104,8 +118,22 @@ class SpecialContainer:
         return self.variant.value
 
     @property
+    def area(self) -> float:
+        return self.ratio * self.input.area
+
+    @property
     def new_vertex(self) -> Point:
-        return self.tri.vertices[_RAYS[self.variant][1][2]]
+        _, (p, _, r), _ = _RAYS[self.variant]
+        vertices = self.input.tri.vertices
+        P, R = vertices[p], vertices[r]
+        s = self.ratio
+        return Point(P.x + (R.x - P.x) * s, P.y + (R.y - P.y) * s)
+
+    @property
+    def tri(self) -> Triangle:
+        vertices = list(self.input.tri.vertices)
+        vertices[_RAYS[self.variant][1][2]] = self.new_vertex
+        return Triangle(*vertices)
 
     @property
     def new_vertex_label(self) -> str:
@@ -113,26 +141,25 @@ class SpecialContainer:
 
 
 def _build(ct: CanonicalTriangle, rows: list) -> list[SpecialContainer]:
-    """The containers PQX of `rows`, of any kinds: X = P + s*(R - P), ratio s."""
+    """The containers PQX of `rows`, of any kinds, by their ratios s alone:
+    X = P + s*(R - P) is built only when a caller reads it."""
     _check_scalene(ct)
-    A, B, C = vertices = ct.tri.vertices
+    vertices = ct.tri.vertices
     # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
     sides = (ct.a, ct.b, ct.c)
     out = []
     for variant, kind, p, q, r in rows:
-        P, Q, R = vertices[p], vertices[q], vertices[r]
-        ex, ey = R.x - P.x, R.y - P.y
         if kind is Kind.FIRST:
             s = sides[r] / sides[q]
         else:
+            P, Q, R = vertices[p], vertices[q], vertices[r]
+            ex, ey = R.x - P.x, R.y - P.y
             dot = (Q.x - P.x) * ex + (Q.y - P.y) * ey
             if kind is Kind.SECOND:
                 s = 2.0 * dot / (ex * ex + ey * ey)
             else:
                 s = sides[r] * sides[r] / (2.0 * dot)
-        X = Point(P.x + ex * s, P.y + ey * s)
-        tri = Triangle(X, B, C) if r == 0 else Triangle(A, X, C) if r == 1 else Triangle(A, B, X)
-        out.append(SpecialContainer(variant, tri, s * ct.area, s))  # area, ratio
+        out.append(SpecialContainer(variant, ct, s))
     return out
 
 

@@ -256,10 +256,16 @@ def _corner(pts: list[tuple[float, float]], k: int) -> tuple[list[tuple[float, f
     return rays, _angle_between(*rays[0], *rays[1])
 
 
+# the assignments of the three input vertices to the three midpoint arcs
+_PERMUTATIONS = tuple(itertools.permutations(range(3)))
+
+
 def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     w = [(v.x, v.y) for v in witness.vertices]
     ins = [(v.x, v.y) for v in ct.tri.vertices]
-    scale = max(math.hypot(w[i][0] - w[i - 2][0], w[i][1] - w[i - 2][1]) for i in range(3))
+    # witness side i runs from vertex i to vertex i + 1
+    sides = [(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(w, w[1:] + w[:1])]
+    scale = max(math.hypot(x0 - x1, y0 - y1) for x0, y0, x1, y1 in sides)
     eps = _EPS_GEOM * scale
 
     # whether each input vertex lies within eps of each half of each witness
@@ -267,8 +273,7 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     # half 2i + 1 from there on to vertex i + 1.  Each half is kept as its
     # start, its direction and its squared length.
     halves = []
-    for i in range(3):
-        (x0, y0), (x1, y1) = w[i], w[i - 2]
+    for x0, y0, x1, y1 in sides:
         mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
         for sx, sy, ex, ey in ((x0, y0, mx - x0, my - y0), (mx, my, x1 - mx, y1 - my)):
             halves.append((sx, sy, ex, ey, ex * ex + ey * ey))
@@ -283,23 +288,24 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
             row.append(math.hypot(dx - s * ex, dy - s * ey) <= eps)
         near.append(row)
 
-    on_side = [[row[2 * i] or row[2 * i + 1] for i in range(3)] for row in near]
-    vertices_on_boundary = all(any(row) for row in on_side)
-    sides_touch = all(any(row[i] for row in on_side) for i in range(3))
+    vertices_on_boundary = all(any(row) for row in near)
+    # side i is halves 2i and 2i + 1
+    sides_touch = all(any(row[h] or row[h + 1] for row in near) for h in (0, 2, 4))
 
     # midpoint arcs: arc j bends around witness vertex j, from the midpoint
-    # of the preceding side to the midpoint of the following side
-    on_arc = [[row[2 * j - 1] or row[2 * j] for j in range(3)] for row in near]
+    # of the preceding side to the midpoint of the following side, so it is
+    # halves 2j - 1 and 2j
+    n0, n1, n2 = near
     one_per_arc = any(
-        on_arc[0][p0] and on_arc[1][p1] and on_arc[2][p2]
-        for p0, p1, p2 in itertools.permutations(range(3))
+        (n0[2 * p0 - 1] or n0[2 * p0]) and (n1[2 * p1 - 1] or n1[2 * p1]) and (n2[2 * p2 - 1] or n2[2 * p2])
+        for p0, p1, p2 in _PERMUTATIONS
     )
 
     shared_pairs = [
         (vi, wj)
-        for vi in range(3)
-        for wj in range(3)
-        if math.hypot(ins[vi][0] - w[wj][0], ins[vi][1] - w[wj][1]) <= eps
+        for vi, (qx, qy) in enumerate(ins)
+        for wj, (x, y) in enumerate(w)
+        if math.hypot(qx - x, qy - y) <= eps
     ]
 
     # shared side + endpoint angle: at a shared vertex, one input side must

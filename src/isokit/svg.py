@@ -34,9 +34,10 @@ def render_containers(
 ) -> str:
     """Standalone SVG: `ct` shaded gray, each container outlined in its
     kind's color with the auxiliary point marked and labeled."""
+    tris = [sc.tri for sc in containers]  # each built on read, so read once
     pts = list(ct.tri.vertices)
-    for sc in containers:
-        pts.extend(sc.tri.vertices)
+    for tri in tris:
+        pts.extend(tri.vertices)
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
     span_x = max(xs) - min(xs)
@@ -67,9 +68,9 @@ def render_containers(
         lines.append(
             f'<text x="12" y="24" font-family="sans-serif" font-size="16">{title}</text>'
         )
-    for sc in containers:
+    for sc, tri in zip(containers, tris):
         color = _KIND_COLOR[sc.kind]
-        lines.append(poly(sc.tri, f'fill="none" stroke="{color}" stroke-width="1.5"'))
+        lines.append(poly(tri, f'fill="none" stroke="{color}" stroke-width="1.5"'))
     lines.append(poly(ct.tri, 'fill="#d5d8dc" fill-opacity="0.8" stroke="black" stroke-width="1.5"'))
     for name, p in zip("ABC", ct.tri.vertices):
         x, y = map_pt(p)

@@ -11,18 +11,20 @@ from isokit import (
     NearRightAngleWarning,
     NotScalene,
     Point,
-    SpecialContainer,
     Triangle,
     all_special_containers,
     area,
+    canonicalize,
     contains_triangle,
     first_kind,
+    minimum_isosceles_container,
     second_kind,
     third_kind,
     triangle_from_angles,
     triangle_from_sides,
     sample_canonical_triangles,
 )
+from isokit import containers
 from isokit.containers import _RAYS, _ROWS
 
 
@@ -292,10 +294,10 @@ def test_kind_tags(acute):
     assert kinds == [Kind.FIRST] * 3 + [Kind.SECOND] * 3 + [Kind.THIRD] * 3
 
 
-def reference_container(ct: CanonicalTriangle, variant: ContainerVariant) -> SpecialContainer:
-    """The container PQX of `variant`, X = P + s*(R - P), with ratio s: one
-    container per call, as the library built them before its one loop over
-    the rows of a kind."""
+def reference_container(ct: CanonicalTriangle, variant: ContainerVariant) -> tuple:
+    """(variant, tri, area, ratio) of the container PQX of `variant`,
+    X = P + s*(R - P), with ratio s: one container per call, built eagerly,
+    as the library built them before it stored the ratio alone."""
     kind, (p, q, r), _ = _RAYS[variant]
     vertices = list(ct.tri.vertices)
     P, Q, R = vertices[p], vertices[q], vertices[r]
@@ -311,7 +313,7 @@ def reference_container(ct: CanonicalTriangle, variant: ContainerVariant) -> Spe
         else:
             s = sides[r] * sides[r] / (2.0 * dot)
     vertices[r] = Point(P.x + ex * s, P.y + ey * s)
-    return SpecialContainer(variant, Triangle(*vertices), area=s * ct.area, ratio=s)
+    return (variant, Triangle(*vertices), s * ct.area, s)
 
 
 def test_same_containers_as_reference():
@@ -325,6 +327,40 @@ def test_same_containers_as_reference():
             warnings.simplefilter("ignore", NearRightAngleWarning)
             built = all_special_containers(ct)
         for sc in built:
-            assert sc == reference_container(ct, sc.variant), (ct, sc.variant)
+            # repr tells every float apart bit for bit, -0.0 from 0.0 too
+            got = (sc.variant, sc.tri, sc.area, sc.ratio)
+            assert repr(got) == repr(reference_container(ct, sc.variant)), (ct, sc.variant)
             seen.add(sc.variant)
     assert seen == set(ContainerVariant)
+
+
+def test_containers_build_no_vertex_until_read(monkeypatch):
+    # a container stores its ratio; X is built on each read of `tri`
+    built = []
+
+    def counting_point(x, y):
+        built.append((x, y))
+        return Point(x, y)
+
+    monkeypatch.setattr(containers, "Point", counting_point)
+    ct = triangle_from_sides(4.0, 5.0, 6.0)
+    all_special_containers(ct)
+    result = minimum_isosceles_container(ct)
+    assert built == []
+    result.minimizers[0].tri
+    assert len(built) == 1
+
+
+def test_new_vertex_is_finite_at_the_largest_accepted_extent():
+    # X = P + s*(R - P) is built on read, so no error may wait there: near
+    # the 1.3e154 extent limit, far from the origin and with the largest
+    # angle just acute enough to keep the containers replacing A or B, the
+    # ones that run out furthest, every vertex is finite
+    ct0 = triangle_from_angles(math.radians(30.0), math.radians(60.0) + 2.0 * DEFAULT_TOLERANCES.eps_angle)
+    for offset in (0.0, -1e158):
+        A, B, C = (Point(offset + 1e154 * p.x, 1e154 * p.y) for p in ct0.tri.vertices)
+        built = all_special_containers(canonicalize(Triangle(A, B, C)))
+        assert len(built) == 9
+        for sc in built:
+            X = sc.new_vertex
+            assert math.isfinite(X.x) and math.isfinite(X.y), (offset, sc.label)

@@ -70,7 +70,7 @@ PUBLIC_RECORD_FIELDS = {
     "MinimizerResult": ("min_area", "min_ratio", "minimizers", "candidates"),
     "OracleResult": ("min_area", "witness", "apex_angle", "rotation"),
     "Point": ("x", "y"),
-    "SpecialContainer": ("variant", "tri", "area", "ratio"),
+    "SpecialContainer": ("variant", "input", "ratio"),
     "Tolerances": ("eps_len", "eps_angle", "eps_num", "eps_tie"),
     "Triangle": ("A", "B", "C"),
     "VerificationReport": ("input", "relative_gap", "min_result", "oracle_result", "flags"),
@@ -222,3 +222,15 @@ def test_no_function_has_an_unread_parameter():
         for line, name, param in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def test_readme_library_block_runs():
+    # the README's one ```python block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), namespace)
+    assert namespace["res"].min_ratio == 1.25
+    assert namespace["tri"] == namespace["res"].minimizers[0].tri
+    assert len(namespace["reps"]) == 100
