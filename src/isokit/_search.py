@@ -26,23 +26,21 @@ _BLOCK_ROWS = 512
 Shape = tuple[float, float, float, list[tuple[float, float]]]
 
 
-def _side_supports(x: np.ndarray, y: np.ndarray, sh, ch, ux, uy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support values (h1, h2, hb) of a triangle at the outward normals of
-    the two legs and the base of the isosceles shape with half apex angle
+def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support values (h1, h2, hb) of a unit copy at the outward normals n
+    of the two legs and the base of the isosceles shape with half apex angle
     sine `sh`, cosine `ch` and unit axis u = (`ux`, `uy`): sh u -/+ ch u'
-    and -u, with u' = (-uy, ux).  `x` and `y` hold a batch's vertex
-    coordinates, (3, N, 1, 1), and broadcast against the others."""
+    and -u, with u' = (-uy, ux).  The copy's vertices are (0, 0), (1, 0)
+    and C = (`cx`, `cy`), (N, 1, 1) each, so a support is max(0, n_x, n . C)."""
     a, b = sh * ux, ch * uy
     nx = np.array((a + b, a - b, -ux))
     a, b = sh * uy, ch * ux
     ny = np.array((a - b, a + b, -uy))
     del a, b  # a batch's peak memory is a handful of these arrays
-    # one vertex at a time: no temporary larger than the result
-    h = None
-    for xv, yv in zip(x, y):
-        dot = nx * xv
-        dot += ny * yv
-        h = dot if h is None else np.maximum(h, dot, out=h)
+    h = nx * cx
+    h += ny * cy
+    np.maximum(h, nx, out=h)
+    np.maximum(h, 0.0, out=h)
     return h[0], h[1], h[2]
 
 
@@ -61,14 +59,10 @@ def _witness_vertices(
     return [(cx + xi * ux - eta * uy, cy + xi * uy + eta * ux) for xi, eta in (apex, base1, base2)]
 
 
-def _shape_frame(
-    cts: Sequence[CanonicalTriangle],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[float, float, float, float, float, float]]]:
-    """For each of `cts`: its unit copy (N, 3, 2), its interior angles
-    (N, 3), the x and y components of its sides' unit outward normals
-    (2, N, 3), and its frame (A.x, A.y, ux, uy, c, s): the vertex A, the
-    unit vector u from A to B, the longest side c and the orientation sign
-    s, which take the copy back to the triangle.
+def _shape_frame(cts: Sequence[CanonicalTriangle]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of `cts`: the coordinates (2, N, 1, 1) of the vertex C of
+    its unit copy, its interior angles (N, 3), and the x and y components
+    of its sides' unit outward normals (2, N, 3).
 
     The copy is the one `canonicalize` defines: the longest side AB from
     (0, 0) to (1, 0) and C at (b/c)(cos alpha, sin alpha), so the sides AB,
@@ -77,22 +71,14 @@ def _shape_frame(
     `ct.gamma`.  It depends on lengths and angles alone, so quarter turns,
     reflections, power-of-two scalings and vertex orders of the input give
     the same copy bit for bit, and a needle's support values do not cancel
-    at any rotation.  The point (x, y) of the copy is A + c (x u + s y u') on the
-    triangle, with u' = (-uy, ux) and s = -1 where A, B, C wind clockwise.
+    at any rotation.
     """
     angles = np.array([(ct.alpha, ct.beta, ct.gamma) for ct in cts])
     sin, cos = np.sin(angles), np.cos(angles)
     r = np.array([ct.b / ct.c for ct in cts])
-    coords = np.zeros((len(cts), 3, 2))
-    coords[:, 1, 0] = 1.0
-    coords[:, 2, 0], coords[:, 2, 1] = r * cos[:, 0], r * sin[:, 0]
+    cxy = np.array((r * cos[:, 0], r * sin[:, 0]))[:, :, None, None]
     normals = np.array(((np.zeros(len(cts)), sin[:, 1], -sin[:, 0]), (-np.ones(len(cts)), cos[:, 1], cos[:, 0])))
-    frames = []
-    for ct in cts:
-        A, B = ct.tri.A, ct.tri.B
-        s = math.copysign(1.0, signed_area(ct.tri))
-        frames.append((A.x, A.y, (B.x - A.x) / ct.c, (B.y - A.y) / ct.c, ct.c, s))
-    return coords, angles, normals.transpose(0, 2, 1), frames
+    return cxy, angles, normals.transpose(0, 2, 1)
 
 
 def _stationary_apex_angles(a: float) -> list[float]:
@@ -191,42 +177,46 @@ def _flush_axes(normals: np.ndarray, sh: np.ndarray, ch: np.ndarray) -> np.ndarr
 
 
 def _container_areas(
-    p: np.ndarray, sh: np.ndarray, ch: np.ndarray, axes: np.ndarray
+    cxy: np.ndarray, sh: np.ndarray, ch: np.ndarray, axes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Areas of the supporting-line containers of the triangles `p` (N, 3, 2)
-    for the half apex angle sines `sh` and cosines `ch` (N, M, 1) along the
-    unit axes `axes` (2, N, M, K): tan(delta/2) * H^2 with H the
-    apex-to-base height.  Returns the areas and the support values
-    (h1, h2, hb) they come from, each (N, M, K)."""
-    x, y = (p[..., i].T.reshape(3, len(p), 1, 1) for i in (0, 1))
-    h1, h2, hb = _side_supports(x, y, sh, ch, *axes)
+    """Areas of the supporting-line containers of the unit copies with
+    vertex C at `cxy` (2, N, 1, 1), for the half apex angle sines `sh` and
+    cosines `ch` (N, M, 1) along the unit axes `axes` (2, N, M, K):
+    tan(delta/2) * H^2 with H the apex-to-base height.  Returns the areas
+    and the support values (h1, h2, hb) they come from, each (N, M, K)."""
+    h1, h2, hb = _side_supports(*cxy, sh, ch, *axes)
     height = (h1 + h2) / (2.0 * sh) + hb
     return sh / ch * height * height, h1, h2, hb
 
 
 def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
     """`best_shapes` for one block of rows, in one array pass."""
-    p, angles, normals, frames = _shape_frame(cts)
+    cxy, angles, normals = _shape_frame(cts)
     deltas = _candidate_apex_angles(angles)
     half = 0.5 * deltas[..., None]
     sh, ch = np.sin(half), np.cos(half)
     axes = _flush_axes(normals, sh, ch)
-    areas, h1, h2, hb = _container_areas(p, sh, ch, axes)
+    areas, h1, h2, hb = _container_areas(cxy, sh, ch, axes)
     n, m, k = areas.shape
     # each row's argmin plus the row's offset: one index into every
     # flattened (N, M, K) array, and into the (N, M, 1) ones after dividing by K
     flat = areas.reshape(n, -1).argmin(axis=1) + np.arange(0, n * m * k, m * k)
     picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
     shapes = []
-    for delta, hs, hc, area, g1, g2, gb, vx, vy, (x, y, ux, uy, c, s) in zip(
-        *(a.take(flat // k).tolist() for a in (deltas, sh, ch)), *picked, frames
+    for ct, delta, hs, hc, area, g1, g2, gb, vx, vy in zip(
+        cts, *(a.take(flat // k).tolist() for a in (deltas, sh, ch)), *picked
     ):
+        # the copy's point (x, y) is A + c (x u + s y u') on the triangle, with
+        # u = (B - A) / c, u' = (-uy, ux) and s = -1 where A, B, C wind clockwise
+        A, B, c = ct.tri.A, ct.tri.B, ct.c
+        ux, uy = (B.x - A.x) / c, (B.y - A.y) / c
+        s = math.copysign(1.0, signed_area(ct.tri))
         # the axis on the triangle; a mirrored copy turns the first leg's
         # outward normal into the second's
         ax, ay = vx * ux - s * vy * uy, vx * uy + s * vy * ux
         if s < 0.0:
             g1, g2 = g2, g1
-        vertices = _witness_vertices(x, y, g1 * c, g2 * c, gb * c, hs, hc, ax, ay)
+        vertices = _witness_vertices(A.x, A.y, g1 * c, g2 * c, gb * c, hs, hc, ax, ay)
         shapes.append((delta, math.atan2(ay, ax) % math.tau, area * c * c, vertices))
     return shapes
 

@@ -112,7 +112,12 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     (`_search.best_shapes`).  The search takes no tolerances.
     Deterministic: ties go to the first candidate.
     """
-    cts = [canonicalize(t) for t in triangles]
+    return _searched([canonicalize(t) for t in triangles])
+
+
+def _searched(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
+    """The oracle's results for the records `cts`, searched as they stand,
+    without canonicalizing them again."""
     if not cts:
         return []
     # imported on first use, so that `import isokit` does not load numpy
@@ -336,9 +341,11 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
 
 def _closed_forms(cts: Sequence[CanonicalTriangle]) -> list[MinimizerResult]:
     """The closed-form minimum of each of `cts`, after checking that every
-    one is scalene."""
+    one is scalene and, since the search reads each record as it stands,
+    not degenerate."""
     for ct in cts:
         _check_scalene(ct)
+        _check_nondegenerate(ct.tri)
     return [minimum_isosceles_container(ct) for ct in cts]
 
 
@@ -361,7 +368,7 @@ def verify_triangles(cts: Iterable[CanonicalTriangle]) -> list[VerificationRepor
     witness checks use their own fixed ``_EPS_GEOM``."""
     cts = list(cts)
     closed = _closed_forms(cts)
-    oracles = brute_force_min_isosceles_batch([ct.tri for ct in cts])
+    oracles = _searched(cts)
     return [_report(*case) for case in zip(cts, closed, oracles)]
 
 

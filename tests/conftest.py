@@ -8,21 +8,24 @@ from isokit import Point, Triangle
 def _min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle:
     """Smallest isosceles triangle of shape `shape` = (apex angle, rotation)
     containing `t`: the one bounded by the supporting lines of `t` at the
-    shape's outward side normals, built from the oracle's own pieces as a
-    one-row batch, about the vertex A."""
+    shape's outward side normals, about the vertex A.  The support values
+    are computed here, independently of the oracle's search, as the largest
+    n . (p - A) over the vertices p of `t`, in plain floats; the oracle's
+    `_witness_vertices` builds the triangle from them."""
     import math
 
-    import numpy as np
-
-    from isokit._search import _side_supports, _witness_vertices
+    from isokit._search import _witness_vertices
 
     delta, rotation = shape
+    sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
+    ux, uy = math.cos(rotation), math.sin(rotation)
     A = t.A
-    x = np.array([p.x - A.x for p in t.vertices]).reshape(3, 1, 1, 1)
-    y = np.array([p.y - A.y for p in t.vertices]).reshape(3, 1, 1, 1)
-    frame = (math.sin(0.5 * delta), math.cos(0.5 * delta), math.cos(rotation), math.sin(rotation))
-    h1, h2, hb = (g.item() for g in _side_supports(x, y, *(np.full((1, 1, 1), v) for v in frame)))
-    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, *frame)))
+    pts = [(p.x - A.x, p.y - A.y) for p in t.vertices]
+    # the outward normals of the two legs and the base: sh u -/+ ch u' and
+    # -u, with u = (ux, uy) and u' = (-uy, ux)
+    normals = ((sh * ux + ch * uy, sh * uy - ch * ux), (sh * ux - ch * uy, sh * uy + ch * ux), (-ux, -uy))
+    h1, h2, hb = (max(nx * x + ny * y for x, y in pts) for nx, ny in normals)
+    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, sh, ch, ux, uy)))
 
 
 @pytest.fixture(scope="session")

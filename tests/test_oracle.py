@@ -165,20 +165,39 @@ class TestBruteForce:
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             ct = triangle_from_angles(math.pi * u, math.pi * (v - u))
-            p, angles, normals, _ = _shape_frame([ct])
+            cxy, angles, normals = _shape_frame([ct])
             candidates = _candidate_apex_angles(angles)[0]
             sh, ch = np.sin(0.5 * grid[None, :, None]), np.cos(0.5 * grid[None, :, None])
-            flush = _container_areas(p, sh, ch, _flush_axes(normals, sh, ch))[0][0]
+            flush = _container_areas(cxy, sh, ch, _flush_axes(normals, sh, ch))[0][0]
             assert flush.shape == (len(grid), 9)
 
             for i in (500, 2000, 3500):
-                dense = _container_areas(p, sh[:, i : i + 1], ch[:, i : i + 1], axes)[0].min()
+                dense = _container_areas(cxy, sh[:, i : i + 1], ch[:, i : i + 1], axes)[0].min()
                 assert flush[i].min() <= dense * (1.0 + 1e-12)
 
             for f in flush.T:
                 local = np.nonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))[0] + 1
                 for i in local:
                     assert np.min(np.abs(candidates - grid[i])) <= 2.0 * step
+
+    def test_side_supports_match_definition(self):
+        # a support is the largest n . p over the unit copy's vertices
+        # (0, 0), (1, 0) and C, here at every flush axis of every candidate
+        # apex angle, with the normals written as `_side_supports` writes them
+        cts = [*sample_canonical_triangles(seed=42, count=64), triangle_from_angles(1e-9, 0.3)]
+        cxy, angles, normals = _shape_frame(cts)
+        half = 0.5 * _candidate_apex_angles(angles)[..., None]
+        sh, ch = np.sin(half), np.cos(half)
+        ux, uy = _flush_axes(normals, sh, ch)
+        legs_and_base = [
+            (sh * ux + ch * uy, sh * uy - ch * ux),
+            (sh * ux - ch * uy, sh * uy + ch * ux),
+            (-ux, -uy),
+        ]
+        supports = _search._side_supports(*cxy, sh, ch, ux, uy)
+        for h, (nx, ny) in zip(supports, legs_and_base):
+            dots = [nx * px + ny * py for px, py in ((0.0, 0.0), (1.0, 0.0), cxy)]
+            assert np.all(h == np.maximum(np.maximum(dots[0], dots[1]), dots[2]))
 
     @pytest.mark.parametrize(
         "ct",
@@ -402,6 +421,23 @@ class TestBatchAPI:
             verify_triangles([*cts, flat])
         with pytest.raises(DegenerateTriangle):
             verify_triangle(flat)
+
+    def test_verify_canonicalizes_no_record(self, monkeypatch):
+        # verify_triangles searches the records it is given; the batch
+        # canonicalizes each of its triangles once
+        calls = []
+        canonicalize = oracle.canonicalize
+
+        def counted(t):
+            calls.append(t)
+            return canonicalize(t)
+
+        monkeypatch.setattr(oracle, "canonicalize", counted)
+        cts = sample_canonical_triangles(seed=29, count=5)
+        reports = verify_triangles(cts)
+        assert calls == []
+        assert brute_force_min_isosceles_batch(ct.tri for ct in cts) == [r.oracle_result for r in reports]
+        assert len(calls) == 5
 
     def test_one_support_pass_per_block(self, monkeypatch):
         # the witnesses come from the search's own support values: one
