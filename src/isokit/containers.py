@@ -72,8 +72,13 @@ _RAYS = {
     ContainerVariant.THIRD_A_BBAR_C: (Kind.THIRD, (2, 0, 1), "B̄"),
     ContainerVariant.THIRD_AB_CBAR: (Kind.THIRD, (1, 0, 2), "C̄"),
 }
-# per kind, the (variant, kind, p, q, r) rows of its containers in `_RAYS` order
-_ROWS = {kind: [(v, k, *pqr) for v, (k, pqr, _) in _RAYS.items() if k is kind] for kind in Kind}
+# the (variant, kind, p, q, r) rows of all containers in `_RAYS` order, and
+# per kind those of its own
+_ALL_ROWS = [(v, k, *pqr) for v, (k, pqr, _) in _RAYS.items()]
+_ROWS = {kind: [row for row in _ALL_ROWS if row[1] is kind] for kind in Kind}
+# `_build` compares kinds with these: reading an Enum member off its class
+# costs about 0.17 us on Python 3.11, more than the row's arithmetic
+_FIRST, _SECOND, _THIRD = Kind.FIRST, Kind.SECOND, Kind.THIRD
 
 
 class NearRightAngleWarning(UserWarning):
@@ -141,21 +146,36 @@ class SpecialContainer:
 
 
 def _build(ct: CanonicalTriangle, rows: list) -> list[SpecialContainer]:
-    """The containers PQX of `rows`, of any kinds, by their ratios s alone:
-    X = P + s*(R - P) is built only when a caller reads it."""
+    """The containers PQX of `rows`, of any kinds and in their order, by
+    their ratios s alone: X = P + s*(R - P) is built only when a caller
+    reads it.  Third-kind rows come last, and the near-right cut of
+    `third_kind` applies to them."""
     _check_scalene(ct)
-    vertices = ct.tri.vertices
+    if rows[-1][1] is _THIRD:
+        eps = DEFAULT_TOLERANCES.eps_angle
+        if not ct.gamma < 0.5 * math.pi - eps:
+            rows = rows[:-3] + rows[-1:]  # ABCbar alone of the third kind
+        if abs(ct.gamma - 0.5 * math.pi) < eps:
+            # attributed to the caller of `third_kind` or `all_special_containers`
+            warnings.warn(
+                "largest angle is within tolerance of 90 degrees; the containers "
+                "replacing A or B are excluded but numerically unstable nearby",
+                NearRightAngleWarning,
+                stacklevel=3,
+            )
+    A, B, C = ct.tri.vertices
+    xs, ys = (A.x, B.x, C.x), (A.y, B.y, C.y)
     # the side opposite each slot: |PQ| = sides[r], |PR| = sides[q]
     sides = (ct.a, ct.b, ct.c)
     out = []
     for variant, kind, p, q, r in rows:
-        if kind is Kind.FIRST:
+        if kind is _FIRST:
             s = sides[r] / sides[q]
         else:
-            P, Q, R = vertices[p], vertices[q], vertices[r]
-            ex, ey = R.x - P.x, R.y - P.y
-            dot = (Q.x - P.x) * ex + (Q.y - P.y) * ey
-            if kind is Kind.SECOND:
+            px, py = xs[p], ys[p]
+            ex, ey = xs[r] - px, ys[r] - py
+            dot = (xs[q] - px) * ex + (ys[q] - py) * ey
+            if kind is _SECOND:
                 s = 2.0 * dot / (ex * ex + ey * ey)
             else:
                 s = sides[r] * sides[r] / (2.0 * dot)
@@ -182,21 +202,10 @@ def third_kind(ct: CanonicalTriangle) -> list[SpecialContainer]:
     right angle they are excluded and a `NearRightAngleWarning` flags the
     tolerance sensitivity.
     """
-    eps = DEFAULT_TOLERANCES.eps_angle
-    rows = _ROWS[Kind.THIRD]
-    if not ct.gamma < 0.5 * math.pi - eps:
-        rows = rows[2:]  # ABCbar alone
-    out = _build(ct, rows)
-    if abs(ct.gamma - 0.5 * math.pi) < eps:
-        warnings.warn(
-            "largest angle is within tolerance of 90 degrees; the containers "
-            "replacing A or B are excluded but numerically unstable nearby",
-            NearRightAngleWarning,
-            stacklevel=2,
-        )
-    return out
+    return _build(ct, _ROWS[Kind.THIRD])
 
 
 def all_special_containers(ct: CanonicalTriangle) -> list[SpecialContainer]:
-    """All special containers: nine for acute input, seven otherwise."""
-    return first_kind(ct) + second_kind(ct) + third_kind(ct)
+    """All special containers, in one pass over the rows of all three kinds:
+    nine for acute input, seven otherwise (see `third_kind`)."""
+    return _build(ct, _ALL_ROWS)

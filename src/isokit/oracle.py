@@ -140,29 +140,38 @@ def brute_force_min_isosceles(t: Triangle) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _ccw_sides_area(t: Triangle) -> tuple[list[tuple[float, float]], list[float], float]:
-    """`t`'s vertices counter-clockwise, the length of the side each of them
-    starts, and `t`'s area, after the degeneracy check."""
+def _ccw_sides_area(t: Triangle) -> tuple[tuple[float, ...], float, float, float, float]:
+    """`t`'s vertices counter-clockwise, as one flat tuple (x0, y0, x1, y1,
+    x2, y2), the lengths of the sides that start at vertices 0, 1 and 2,
+    and `t`'s area, after the degeneracy check."""
     signed = _check_nondegenerate(t)
     A, B, C = (t.A, t.C, t.B) if signed < 0.0 else (t.A, t.B, t.C)
-    pts = [(A.x, A.y), (B.x, B.y), (C.x, C.y)]
-    sides = [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])]
-    return pts, sides, abs(signed)
+    x0, y0, x1, y1, x2, y2 = A.x, A.y, B.x, B.y, C.x, C.y
+    return (
+        (x0, y0, x1, y1, x2, y2),
+        math.hypot(x1 - x0, y1 - y0),
+        math.hypot(x2 - x1, y2 - y1),
+        math.hypot(x0 - x2, y0 - y2),
+        abs(signed),
+    )
 
 
-def _side_frame(pts: list[tuple[float, float]], i: int) -> list[tuple[float, float]]:
-    """Rotate+translate so side i runs from the origin along +x; for CCW
-    input the interior lands in the upper half-plane."""
-    x0, y0 = pts[i]
-    x1, y1 = pts[(i + 1) % 3]
-    ex, ey = x1 - x0, y1 - y0
+def _side_frame(pts: tuple[float, ...], i: int) -> tuple[float, ...]:
+    """Rotate+translate the flat coordinates `pts` so that side i runs from
+    the origin along +x; for CCW input the interior lands in the upper
+    half-plane."""
+    x0, y0 = pts[2 * i], pts[2 * i + 1]
+    j = 2 * i + 2 if i < 2 else 0
+    ex, ey = pts[j] - x0, pts[j + 1] - y0
     ln = math.hypot(ex, ey)
     cx, sx = ex / ln, ey / ln
-    out = []
-    for x, y in pts:
-        dx, dy = x - x0, y - y0
-        out.append((dx * cx + dy * sx, -dx * sx + dy * cx))
-    return out
+    xa, ya, xb, yb, xc, yc = pts
+    dxa, dya, dxb, dyb, dxc, dyc = xa - x0, ya - y0, xb - x0, yb - y0, xc - x0, yc - y0
+    return (
+        dxa * cx + dya * sx, -dxa * sx + dya * cx,
+        dxb * cx + dyb * sx, -dxb * sx + dyb * cx,
+        dxc * cx + dyc * sx, -dxc * sx + dyc * cx,
+    )
 
 
 def can_cover(mover: Triangle, target: Triangle) -> bool:
@@ -183,12 +192,13 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
     configuration hold is rejected by an area bound before the 2 x 3 x 3
     configurations are tried; the bound answers only where they would all
     answer False.  On perfbench's `closed_form` inputs a reject takes about
-    7-9 us and an accept about 17-20 us (`perfbench/run.py --workload
-    closed_form --trace 1`, 2-core Intel Xeon VM, Python 3.11.7).
+    6.7-7.0 us and an accept about 15.7-16.4 us (`perfbench/run.py --workload
+    closed_form --seed 1 --seconds 30 --trace 1`, two runs, 2-core Intel
+    Xeon VM, Python 3.11.7).
     """
-    mover_ccw, mover_sides, mover_area = _ccw_sides_area(mover)
-    target_ccw, target_sides, target_area = _ccw_sides_area(target)
-    scale = max(*mover_sides, *target_sides)
+    mover_ccw, m0, m1, m2, mover_area = _ccw_sides_area(mover)
+    target_ccw, t0, t1, t2, target_area = _ccw_sides_area(target)
+    scale = max(m0, m1, m2, t0, t1, t2)
     slack = DEFAULT_TOLERANCES.eps_num * scale * scale  # cross products have area units
     eps_u = DEFAULT_TOLERANCES.eps_num * scale
     tiny = 1e-15 * scale
@@ -206,36 +216,42 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
     # target, so a target area above lam**2 * A passes no configuration.
     # lam - 1 is doubled for rounding, which moves the cross products by
     # about 1e-16 s**2 against a slack of eps_num * s**2.
-    lam = 1.0 + (3.0 * slack + eps_u * sum(mover_sides)) / mover_area
+    lam = 1.0 + (3.0 * slack + eps_u * (m0 + m1 + m2)) / mover_area
     if target_area > lam * lam * mover_area:
         return False
 
+    # A target vertex q is inside (left of) mover edge k, from (xk, yk)
+    # along (ex, ey), for slide u when cr + u*ey >= -slack, with
+    # cr = ex*(qy - yk) - ey*(qx - xk).  Each edge with ey beyond +-tiny
+    # bounds the slides from one side; a flat edge admits all or none.
+    neg_slack = -slack
     # each target frame is built when a configuration first reaches it, and
     # the mirror image only once the unmirrored mover has failed
     target_frames: list = [None, None, None]
+    mv = mover_ccw
     for mirrored in (False, True):
-        mv = [(x, -y) for x, y in reversed(mover_ccw)] if mirrored else mover_ccw  # counter-clockwise too
+        if mirrored:
+            x0, y0, x1, y1, x2, y2 = mover_ccw
+            mv = (x2, -y2, x1, -y1, x0, -y0)  # counter-clockwise too
         for i in range(3):
-            placed = _side_frame(mv, i)
-            edges = [
-                (xk, yk, xk1 - xk, yk1 - yk) for (xk, yk), (xk1, yk1) in zip(placed, placed[1:] + placed[:1])
-            ]
+            a0, b0, a1, b1, a2, b2 = _side_frame(mv, i)
+            edges = ((a0, b0, a1 - a0, b1 - b0), (a1, b1, a2 - a1, b2 - b1), (a2, b2, a0 - a2, b0 - b2))
             for j in range(3):
                 tgt = target_frames[j]
                 if tgt is None:
                     tgt = target_frames[j] = _side_frame(target_ccw, j)
+                u0, v0, u1, v1, u2, v2 = tgt
                 lo, hi = -math.inf, math.inf
                 for xk, yk, ex, ey in edges:
-                    for qx, qy in tgt:
-                        # inside (left of edge) for slide u: cr + u*ey >= -slack
-                        cr = ex * (qy - yk) - ey * (qx - xk)
-                        if ey > tiny:
-                            lo = max(lo, (-slack - cr) / ey)
-                        elif ey < -tiny:
-                            hi = min(hi, (-slack - cr) / ey)
-                        elif cr < -slack:
-                            lo, hi = math.inf, -math.inf  # no slide helps
-                            break
+                    c0 = ex * (v0 - yk) - ey * (u0 - xk)
+                    c1 = ex * (v1 - yk) - ey * (u1 - xk)
+                    c2 = ex * (v2 - yk) - ey * (u2 - xk)
+                    if ey > tiny:
+                        lo = max(lo, (neg_slack - c0) / ey, (neg_slack - c1) / ey, (neg_slack - c2) / ey)
+                    elif ey < -tiny:
+                        hi = min(hi, (neg_slack - c0) / ey, (neg_slack - c1) / ey, (neg_slack - c2) / ey)
+                    elif c0 < neg_slack or c1 < neg_slack or c2 < neg_slack:
+                        break  # no slide helps
                     # lo only rises and hi only falls, so an empty interval stays empty
                     if lo > hi + eps_u:
                         break

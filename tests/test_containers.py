@@ -213,6 +213,22 @@ class TestSharedStructure:
             else:
                 assert n == 7
 
+    def test_right_angle_cutoff_inside(self):
+        # half of eps_angle below 90 degrees drops AbarBC and ABbarC, and warns
+        ct = triangle_from_angles(math.radians(40), math.radians(50) + 0.5e-9)
+        with pytest.warns(NearRightAngleWarning):
+            out = all_special_containers(ct)
+        dropped = (ContainerVariant.THIRD_ABAR_BC, ContainerVariant.THIRD_A_BBAR_C)
+        assert [sc.variant for sc in out] == [v for v in ContainerVariant if v not in dropped]
+
+    def test_right_angle_cutoff_outside(self):
+        # twice eps_angle below 90 degrees builds all nine, silently
+        ct = triangle_from_angles(math.radians(40), math.radians(50) + 2e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearRightAngleWarning)
+            out = all_special_containers(ct)
+        assert [sc.variant for sc in out] == list(ContainerVariant)
+
     def test_pairwise_distinct_point_sets(self, acute):
         def key(sc):
             return tuple(sorted((round(p.x, 9), round(p.y, 9)) for p in sc.tri.vertices))

@@ -27,6 +27,7 @@ from isokit import (
     triangle_at_crossing,
     triangle_from_angles,
     triangle_from_sides,
+    verify_triangles,
     Point,
     Triangle,
 )
@@ -419,3 +420,19 @@ class TestExactReferee:
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
             exact = exact_min_area_squared(ct)
             assert lo * exact <= Fraction(result.min_area) ** 2 <= hi * exact
+
+
+# `wide_probe` inputs on which two posed witness vertices round to one point
+WIDE_PROBE_ZERO_SIDE_WITNESSES = (430, 484, 509, 736, 776)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ZeroDivisionError,
+    reason="known defect: the witness checks run on the posed witness and divide by its zero side in oracle._corner",
+)
+def test_verify_reports_on_zero_side_witnesses():
+    cts = wide_probe()
+    picked = [cts[i] for i in WIDE_PROBE_ZERO_SIDE_WITNESSES]
+    reports = verify_triangles(picked)
+    assert [report.input for report in reports] == picked
