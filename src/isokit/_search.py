@@ -29,22 +29,31 @@ _BLOCK_ROWS = 64
 Shape = tuple[float, float, float, list[tuple[float, float]]]
 
 
-def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support values (h1, h2, hb) of a unit copy at the outward normals n
-    of the two legs and the base of the isosceles shape with half apex angle
-    sine `sh`, cosine `ch` and unit axis u = (`ux`, `uy`): sh u -/+ ch u'
-    and -u, with u' = (-uy, ux).  The copy's vertices are (0, 0), (1, 0)
-    and C = (`cx`, `cy`), (N, 1, 1) each, so a support is max(0, n_x, n . C)."""
+def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> np.ndarray:
+    """Support values (h1, h2, hb), stacked on a leading axis of three, of a
+    unit copy at the outward normals n of the two legs and the base of the
+    isosceles shape with half apex angle sine `sh`, cosine `ch` and unit
+    axis u = (`ux`, `uy`): sh u -/+ ch u' and -u, with u' = (-uy, ux).  The
+    copy's vertices are (0, 0), (1, 0) and C = (`cx`, `cy`), so a support
+    is max(0, n_x, n . C).  The operands broadcast; the search passes all
+    but C at one shape, so that each pass runs on contiguous operands."""
     a, b = sh * ux, ch * uy
-    nx = np.array((a + b, a - b, -ux))
-    a, b = sh * uy, ch * ux
-    ny = np.array((a - b, a + b, -uy))
-    del a, b  # a batch's peak memory is a handful of these arrays
+    # the three normals' x components, then their y components
+    nx, ny = np.empty((3,) + a.shape), np.empty((3,) + a.shape)
+    np.add(a, b, out=nx[0])
+    np.subtract(a, b, out=nx[1])
+    np.negative(ux, out=nx[2])
+    np.multiply(sh, uy, out=a)
+    np.multiply(ch, ux, out=b)
+    np.subtract(a, b, out=ny[0])
+    np.add(a, b, out=ny[1])
+    np.negative(uy, out=ny[2])
+    del a, b  # a block's peak memory is a dozen or so of these arrays
     h = nx * cx
-    h += ny * cy
+    h += np.multiply(ny, cy, out=ny)
     np.maximum(h, nx, out=h)
     np.maximum(h, 0.0, out=h)
-    return h[0], h[1], h[2]
+    return h
 
 
 def _witness_vertices(
@@ -59,29 +68,53 @@ def _witness_vertices(
     base1 = (-hb, -(h1 + hb * sh) / ch)
     base2 = (-hb, (h2 + hb * sh) / ch)
     # (xi, eta) along the axis and a quarter turn counter-clockwise from it
-    return [(cx + xi * ux - eta * uy, cy + xi * uy + eta * ux) for xi, eta in (apex, base1, base2)]
+    vertices = []
+    for xi, eta in (apex, base1, base2):
+        vertices.append((cx + xi * ux - eta * uy, cy + xi * uy + eta * ux))
+    return vertices
 
 
-def _shape_frame(cts: Sequence[CanonicalTriangle]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each of `cts`: the coordinates (2, N, 1, 1) of the vertex C of
-    its unit copy, its interior angles (N, 3), and the x and y components
-    of its sides' unit outward normals (2, N, 3).
+# the signs that turn the sines and cosines of (0, beta, alpha) into the x
+# and y components of the outward normals (0, -1), (sin beta, cos beta)
+# and (-sin alpha, cos alpha)
+_NORMAL_SIGNS = np.array(((1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)))[:, None, :]
+
+
+def _unit_frame(
+    cts: Sequence[CanonicalTriangle], rows: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of `cts` and its row of `rows` (candidate apex angles, the
+    same number per row): the coordinates (2, N, 1, 1) of the vertex C of
+    its unit copy, the x and y components (2, N, 3) of the copy's sides'
+    unit outward normals, and the sines and cosines (2, N, M) of the halves
+    of the row's apex angles.  All come from one sine and one cosine pass
+    over the rows (0, beta, alpha, half apex angles): sin 0 = 0 and
+    cos 0 = 1 exactly, and the signs are exact flips.
 
     The copy is the one `canonicalize` defines: the longest side AB from
     (0, 0) to (1, 0) and C at (b/c)(cos alpha, sin alpha), so the sides AB,
     BC and CA have outward normals (0, -1), (sin beta, cos beta) and
-    (-sin alpha, cos alpha), and the angles are `ct.alpha`, `ct.beta` and
-    `ct.gamma`.  It depends on lengths and angles alone, so quarter turns,
-    reflections, power-of-two scalings and vertex orders of the input give
-    the same copy bit for bit, and a needle's support values do not cancel
-    at any rotation.
+    (-sin alpha, cos alpha).  It depends on lengths and angles alone, so
+    quarter turns, reflections, power-of-two scalings and vertex orders of
+    the input give the same copy bit for bit, and a needle's support values
+    do not cancel at any rotation.
     """
-    angles = np.array([(ct.alpha, ct.beta, ct.gamma) for ct in cts])
-    sin, cos = np.sin(angles), np.cos(angles)
-    r = np.array([ct.b / ct.c for ct in cts])
-    cxy = np.array((r * cos[:, 0], r * sin[:, 0]))[:, :, None, None]
-    normals = np.array(((np.zeros(len(cts)), sin[:, 1], -sin[:, 0]), (-np.ones(len(cts)), cos[:, 1], cos[:, 0])))
-    return cxy, angles, normals.transpose(0, 2, 1)
+    table = np.array([[0.0, ct.beta, ct.alpha, *row] for ct, row in zip(cts, rows)])
+    table[:, 3:] *= 0.5
+    trig = np.empty((2,) + table.shape)
+    np.sin(table, out=trig[0])
+    np.cos(table, out=trig[1])
+    cxy = trig[::-1, :, 2] * np.array([ct.b / ct.c for ct in cts])
+    return cxy[:, :, None, None], trig[:, :, :3] * _NORMAL_SIGNS, trig[:, :, 3:]
+
+
+def _shape_frame(cts: Sequence[CanonicalTriangle]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of `cts`: the coordinates (2, N, 1, 1) of the vertex C of
+    its unit copy, its interior angles (N, 3) `ct.alpha`, `ct.beta` and
+    `ct.gamma`, and the x and y components of its sides' unit outward
+    normals (2, N, 3), as `_unit_frame` gives them."""
+    cxy, normals, _ = _unit_frame(cts, [()] * len(cts))
+    return cxy, np.array([(ct.alpha, ct.beta, ct.gamma) for ct in cts]), normals
 
 
 def _stationary_apex_angles(a: float) -> list[float]:
@@ -91,39 +124,69 @@ def _stationary_apex_angles(a: float) -> list[float]:
     # the roots of t^3 - k t^2 + 3t + k change sign with k, so solve for
     # kk = |k| >= 0 and flip them back
     kk = abs(k)
+    kk2 = kk * kk
     # as s^3 + p s + q with t = s + kk/3; the discriminant over -108 is
     # d = q^2/4 + p^3/27, written without the cancelling kk^6 terms
-    p = 3.0 - kk * kk / 3.0
-    q = 2.0 * kk * (1.0 - kk * kk / 27.0)
-    d = (27.0 + kk * kk * (18.0 - kk * kk)) / 27.0
+    p = 3.0 - kk2 / 3.0
+    q = 2.0 * kk * (1.0 - kk2 / 27.0)
+    d = (27.0 + kk2 * (18.0 - kk2)) / 27.0
     if d < 0.0:
-        # three real roots: the largest in trigonometric form, then the two
-        # of t^2 + b t + c that are left after dividing it out (for a needle
-        # the trigonometric form loses the roots near +-1 beside cot A)
+        # three real roots, the largest in trigonometric form
         theta = math.acos(max(-1.0, min(1.0, 1.5 * q / p * math.sqrt(-3.0 / p)))) / 3.0
-        r = _polished_root(kk, 2.0 * math.sqrt(-p / 3.0) * math.cos(theta) + kk / 3.0)
+        t = 2.0 * math.sqrt(-p / 3.0) * math.cos(theta) + kk / 3.0
+    else:
+        # Cardano's real root
+        w = -0.5 * q - math.copysign(math.sqrt(d), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        t = u - p / (3.0 * u) + kk / 3.0
+    # each real root is polished by one Newton step
+    df = (3.0 * t - 2.0 * kk) * t + 3.0
+    r = t - (((t - kk) * t + 3.0) * t + kk) / df if df else t
+    if d < 0.0:
+        # the two roots of t^2 + b t + c left after dividing r out (for a
+        # needle the trigonometric form loses the roots near +-1 beside cot A)
         c = -kk / r
         b = (c - 3.0) / r
         h = -0.5 * (b + math.copysign(math.sqrt(max(0.0, b * b - 4.0 * c)), b))
-        ts = [r, _polished_root(kk, h), _polished_root(kk, c / h)]
+        ts = [r]
+        for t in (h, c / h):
+            df = (3.0 * t - 2.0 * kk) * t + 3.0
+            ts.append(t - (((t - kk) * t + 3.0) * t + kk) / df if df else t)
     else:
-        # Cardano's real root; the complex pair is kept by its real part
-        w = -0.5 * q - math.copysign(math.sqrt(d), q)
-        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
-        r = _polished_root(kk, u - p / (3.0 * u) + kk / 3.0)
-        ts = [r, 0.5 * (kk - r)]  # the roots sum to kk
-    deltas = [2.0 * math.atan(t) for t in (math.copysign(1.0, k) * t for t in ts) if t > 0.0]
-    # the quartic's roots solve sin(2 delta + a) = 3 sin(a); past its double
-    # root at 3 sin(a) = 1 both become the double root's apex angle
+        ts = [r, 0.5 * (kk - r)]  # the complex pair by its real part: the roots sum to kk
+    # the apex angles in (0, pi): 2 atan(t) of the roots flipped back, which
+    # is positive exactly where t is, then the quartic's roots, which solve
+    # sin(2 delta + a) = 3 sin(a); past its double root at 3 sin(a) = 1 both
+    # become the double root's apex angle
+    deltas = []
+    for t in ts:
+        delta = 2.0 * math.atan(-t if k < 0.0 else t)
+        if 0.0 < delta < math.pi:
+            deltas.append(delta)
     phi = math.asin(min(1.0, 3.0 * math.sin(a)))
-    deltas += [0.5 * ((phi - a) % math.tau), 0.5 * ((math.pi - phi - a) % math.tau)]
-    return [delta for delta in deltas if 0.0 < delta < math.pi]
+    for delta in (0.5 * ((phi - a) % math.tau), 0.5 * ((math.pi - phi - a) % math.tau)):
+        if 0.0 < delta < math.pi:
+            deltas.append(delta)
+    return deltas
 
 
-def _polished_root(k: float, t: float) -> float:
-    """`t` after one Newton step on t^3 - k t^2 + 3t + k."""
-    df = (3.0 * t - 2.0 * k) * t + 3.0
-    return t - (((t - k) * t + 3.0) * t + k) / df if df else t
+def _candidate_rows(angles: Sequence[Sequence[float]]) -> list[list[float]]:
+    """`_candidate_apex_angles` of the rows of interior angles `angles`, as
+    lists."""
+    half_pi = 0.5 * math.pi
+    rows = []
+    for angle_row in angles:
+        row = [*angle_row]
+        for a in angle_row:
+            row.append(math.pi - 2.0 * a if a < half_pi else half_pi)
+        row.append(half_pi)
+        for a in angle_row:
+            row += _stationary_apex_angles(a)
+        rows.append(row)
+    width = max(map(len, rows))
+    for row in rows:
+        row += [half_pi] * (width - len(row))
+    return rows
 
 
 def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
@@ -158,12 +221,7 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     argmin.  Rows are built one at a time in scalar arithmetic, so only a
     row's padding depends on its batch.
     """
-    rows = []
-    for row in angles.tolist():
-        kinks = [math.pi - 2.0 * a if a < 0.5 * math.pi else 0.5 * math.pi for a in row]
-        rows.append(row + kinks + [0.5 * math.pi] + [d for a in row for d in _stationary_apex_angles(a)])
-    width = max(map(len, rows))
-    return np.array([r + [0.5 * math.pi] * (width - len(r)) for r in rows])
+    return np.array(_candidate_rows(angles.tolist()))
 
 
 def _flush_axes(normals: np.ndarray, sh: np.ndarray, ch: np.ndarray) -> np.ndarray:
@@ -184,31 +242,37 @@ def _container_areas(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Areas of the supporting-line containers of the unit copies with
     vertex C at `cxy` (2, N, 1, 1), for the half apex angle sines `sh` and
-    cosines `ch` (N, M, 1) along the unit axes `axes` (2, N, M, K):
-    tan(delta/2) * H^2 with H the apex-to-base height.  Returns the areas
-    and the support values (h1, h2, hb) they come from, each (N, M, K)."""
+    cosines `ch` (N, M, 1, or expanded to K) along the unit axes `axes`
+    (2, N, M, K): tan(delta/2) * H^2 with H the apex-to-base height.
+    Returns the areas and the support values (h1, h2, hb) they come from,
+    each (N, M, K)."""
     h1, h2, hb = _side_supports(*cxy, sh, ch, *axes)
-    height = (h1 + h2) / (2.0 * sh) + hb
-    return sh / ch * height * height, h1, h2, hb
+    height = h1 + h2
+    height /= 2.0 * sh
+    height += hb
+    area = sh / ch * height
+    area *= height
+    return area, h1, h2, hb
 
 
 def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
     """`best_shapes` for one block of rows, in one array pass."""
-    cxy, angles, normals = _shape_frame(cts)
-    deltas = _candidate_apex_angles(angles)
-    half = 0.5 * deltas[..., None]
-    sh, ch = np.sin(half), np.cos(half)
-    axes = _flush_axes(normals, sh, ch)
-    areas, h1, h2, hb = _container_areas(cxy, sh, ch, axes)
-    n, m, k = areas.shape
+    rows = _candidate_rows([(ct.alpha, ct.beta, ct.gamma) for ct in cts])
+    cxy, normals, trig = _unit_frame(cts, rows)
+    n, m = trig.shape[1:]
+    axes = _flush_axes(normals, *trig[..., None])
+    # the sines and cosines once per flush axis, so that the support and
+    # area passes run on operands of one shape
+    trig9 = np.repeat(trig, 9, axis=2).reshape(2, n, m, 9)
+    areas, h1, h2, hb = _container_areas(cxy, *trig9, axes)
     # each row's argmin plus the row's offset: one index into every
-    # flattened (N, M, K) array, and into the (N, M, 1) ones after dividing by K
-    flat = areas.reshape(n, -1).argmin(axis=1) + np.arange(0, n * m * k, m * k)
-    picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
+    # flattened (N, M, 9) array
+    best = areas.reshape(n, -1).argmin(axis=1)
+    flat = best + np.arange(0, n * m * 9, m * 9)
+    picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)]
+    picked += axes.reshape(2, -1).take(flat, axis=1).tolist() + trig9.reshape(2, -1).take(flat, axis=1).tolist()
     shapes = []
-    for ct, delta, hs, hc, area, g1, g2, gb, vx, vy in zip(
-        cts, *(a.take(flat // k).tolist() for a in (deltas, sh, ch)), *picked
-    ):
+    for ct, row, j, area, g1, g2, gb, vx, vy, hs, hc in zip(cts, rows, best.tolist(), *picked):
         # the copy's point (x, y) is A + c (x u + s y u') on the triangle, with
         # u = (B - A) / c, u' = (-uy, ux) and s = -1 where A, B, C wind clockwise
         A, B, c = ct.tri.A, ct.tri.B, ct.c
@@ -220,14 +284,14 @@ def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
         if s < 0.0:
             g1, g2 = g2, g1
         vertices = _witness_vertices(A.x, A.y, g1 * c, g2 * c, gb * c, hs, hc, ax, ay)
-        shapes.append((delta, math.atan2(ay, ax) % math.tau, area * c * c, vertices))
+        shapes.append((row[j // 9], math.atan2(ay, ax) % math.tau, area * c * c, vertices))
     return shapes
 
 
 def best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
     """The least-area flush container of each of `cts`, as (apex angle,
     rotation, area, vertices), each row searched on its unit copy (see
-    `_shape_frame`) with its own argmin.
+    `_unit_frame`) with its own argmin.
 
     The rotation is atan2 of the chosen unit axis, mapped back to the
     triangle, reduced to [0, 2 pi).  The area is the value the argmin

@@ -118,6 +118,11 @@ class ShapeClass(Enum):
     EQUILATERAL = "equilateral"
 
 
+# read through these aliases: reading an Enum member off its class costs
+# about 0.17 us on Python 3.11
+_SCALENE, _ISOSCELES, _EQUILATERAL = ShapeClass.SCALENE, ShapeClass.ISOSCELES, ShapeClass.EQUILATERAL
+
+
 @dataclass(frozen=True, init=False)
 class CanonicalTriangle:
     """A triangle relabeled so that a = |BC| <= b = |AC| <= c = |AB|.
@@ -187,7 +192,7 @@ def _check_nondegenerate(t: Triangle) -> float:
 
 def _check_scalene(ct: CanonicalTriangle) -> None:
     """Raise `NotScalene` unless `ct` has three distinct side lengths."""
-    if ct.shape_class is not ShapeClass.SCALENE:
+    if ct.shape_class is not _SCALENE:
         raise NotScalene(f"need a scalene triangle, got {ct.shape_class.value}")
 
 
@@ -225,11 +230,11 @@ def canonicalize(t: Triangle) -> CanonicalTriangle:
     eq_bc = abs(b - c) <= eps
     eq_ac = abs(a - c) <= eps
     if eq_ac:
-        shape = ShapeClass.EQUILATERAL
+        shape = _EQUILATERAL
     elif eq_ab or eq_bc:
-        shape = ShapeClass.ISOSCELES
+        shape = _ISOSCELES
     else:
-        shape = ShapeClass.SCALENE
+        shape = _SCALENE
 
     # twice the area, taken once at C: its angle is the largest, so its two
     # sides do not cancel in the cross product as a needle's sides at A do.

@@ -13,8 +13,8 @@ from .geo import (
     DEFAULT_TOLERANCES,
     CanonicalTriangle,
     Point,
-    ShapeClass,
     Triangle,
+    _SCALENE,
     _check_scalene,
     canonicalize,
 )
@@ -92,7 +92,7 @@ def minimum_isosceles_container(ct: CanonicalTriangle) -> MinimizerResult:
     within the relative tie tolerance ``DEFAULT_TOLERANCES.eps_tie`` of the
     best is reported.
     """
-    if ct.shape_class is not ShapeClass.SCALENE:
+    if ct.shape_class is not _SCALENE:
         return MinimizerResult(
             min_area=ct.area,
             min_ratio=1.0,

@@ -13,7 +13,6 @@ removes translation and scale analytically and leaves a 2D search, which
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -124,8 +123,8 @@ def _searched(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
     from ._search import best_shapes
 
     return [
-        OracleResult(min_area, Triangle(*(Point(x, y) for x, y in vertices)), apex_angle, rotation)
-        for apex_angle, rotation, min_area, vertices in best_shapes(cts)
+        OracleResult(min_area, Triangle(Point(*a), Point(*b), Point(*c)), apex_angle, rotation)
+        for apex_angle, rotation, min_area, (a, b, c) in best_shapes(cts)
     ]
 
 
@@ -277,16 +276,15 @@ def _corner(pts: list[tuple[float, float]], k: int) -> tuple[list[tuple[float, f
     return rays, _angle_between(*rays[0], *rays[1])
 
 
-# the assignments of the three input vertices to the three midpoint arcs
-_PERMUTATIONS = tuple(itertools.permutations(range(3)))
-
-
 def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
-    w = [(v.x, v.y) for v in witness.vertices]
-    ins = [(v.x, v.y) for v in ct.tri.vertices]
+    A, B, C = witness.A, witness.B, witness.C
+    x0, y0, x1, y1, x2, y2 = A.x, A.y, B.x, B.y, C.x, C.y
+    w = [(x0, y0), (x1, y1), (x2, y2)]
+    A, B, C = ct.tri.A, ct.tri.B, ct.tri.C
+    ins = [(A.x, A.y), (B.x, B.y), (C.x, C.y)]
     # witness side i runs from vertex i to vertex i + 1
-    sides = [(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(w, w[1:] + w[:1])]
-    scale = max(math.hypot(x0 - x1, y0 - y1) for x0, y0, x1, y1 in sides)
+    sides = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
+    scale = max(math.hypot(x0 - x1, y0 - y1), math.hypot(x1 - x2, y1 - y2), math.hypot(x2 - x0, y2 - y0))
     eps = _EPS_GEOM * scale
 
     # whether each input vertex lies within eps of each half of each witness
@@ -294,40 +292,54 @@ def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
     # half 2i + 1 from there on to vertex i + 1.  Each half is kept as its
     # start, its direction and its squared length.
     halves = []
-    for x0, y0, x1, y1 in sides:
-        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-        for sx, sy, ex, ey in ((x0, y0, mx - x0, my - y0), (mx, my, x1 - mx, y1 - my)):
-            halves.append((sx, sy, ex, ey, ex * ex + ey * ey))
-    near = []
+    for xa, ya, xb, yb in sides:
+        mx, my = (xa + xb) / 2.0, (ya + yb) / 2.0
+        ex, ey = mx - xa, my - ya
+        halves.append((xa, ya, ex, ey, ex * ex + ey * ey))
+        ex, ey = xb - mx, yb - my
+        halves.append((mx, my, ex, ey, ex * ex + ey * ey))
+    # and whether it lies near each midpoint arc: arc j bends around witness
+    # vertex j, from the midpoint of the preceding side to the midpoint of
+    # the following side, so it is halves 2j - 1 and 2j
+    near, arcs = [], []
     for qx, qy in ins:
         row = []
         for sx, sy, ex, ey, denom in halves:
             # distance to the closest point of the half, s in [0, 1] along it
             dx, dy = qx - sx, qy - sy
             along = dx * ex + dy * ey
-            s = 0.0 if along <= 0.0 else 1.0 if along >= denom else along / denom
-            row.append(math.hypot(dx - s * ex, dy - s * ey) <= eps)
+            if along <= 0.0:
+                row.append(math.hypot(dx, dy) <= eps)
+            elif along >= denom:
+                row.append(math.hypot(dx - ex, dy - ey) <= eps)
+            else:
+                s = along / denom
+                row.append(math.hypot(dx - s * ex, dy - s * ey) <= eps)
         near.append(row)
-
-    vertices_on_boundary = all(any(row) for row in near)
-    # side i is halves 2i and 2i + 1
-    sides_touch = all(any(row[h] or row[h + 1] for row in near) for h in (0, 2, 4))
-
-    # midpoint arcs: arc j bends around witness vertex j, from the midpoint
-    # of the preceding side to the midpoint of the following side, so it is
-    # halves 2j - 1 and 2j
+        arcs.append((row[5] or row[0], row[1] or row[2], row[3] or row[4]))
     n0, n1, n2 = near
-    one_per_arc = any(
-        (n0[2 * p0 - 1] or n0[2 * p0]) and (n1[2 * p1 - 1] or n1[2 * p1]) and (n2[2 * p2 - 1] or n2[2 * p2])
-        for p0, p1, p2 in _PERMUTATIONS
+
+    vertices_on_boundary = any(n0) and any(n1) and any(n2)
+    # side i is halves 2i and 2i + 1
+    sides_touch = (
+        (n0[0] or n0[1] or n1[0] or n1[1] or n2[0] or n2[1])
+        and (n0[2] or n0[3] or n1[2] or n1[3] or n2[2] or n2[3])
+        and (n0[4] or n0[5] or n1[4] or n1[5] or n2[4] or n2[5])
+    )
+    # one input vertex per arc: one of the six matchings of vertices to
+    # arcs, with avj for input vertex v near arc j
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = arcs
+    one_per_arc = (
+        a00 and (a11 and a22 or a12 and a21)
+        or a01 and (a10 and a22 or a12 and a20)
+        or a02 and (a10 and a21 or a11 and a20)
     )
 
-    shared_pairs = [
-        (vi, wj)
-        for vi, (qx, qy) in enumerate(ins)
-        for wj, (x, y) in enumerate(w)
-        if math.hypot(qx - x, qy - y) <= eps
-    ]
+    shared_pairs = []
+    for vi, (qx, qy) in enumerate(ins):
+        for wj, (x, y) in enumerate(w):
+            if math.hypot(qx - x, qy - y) <= eps:
+                shared_pairs.append((vi, wj))
 
     # shared side + endpoint angle: at a shared vertex, one input side must
     # run along a witness side, judged by the sine of the angle between the

@@ -15,6 +15,7 @@ from isokit import (
     all_special_containers,
     alpha_star,
     alpha_star_equation,
+    brute_force_min_isosceles,
     brute_force_min_isosceles_batch,
     canonicalize,
     eq1_residual,
@@ -420,6 +421,22 @@ class TestExactReferee:
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
             exact = exact_min_area_squared(ct)
             assert lo * exact <= Fraction(result.min_area) ** 2 <= hi * exact
+
+
+def test_batch_rows_are_single_calls():
+    # every row is padded to the batch's widest row of candidate apex angles
+    # and expanded to nine flush axes per candidate; neither may leak into
+    # another row: on hard input, each row of one batch is, bit for bit, the
+    # result its triangle gets alone
+    near_right = [
+        triangle_from_angles(alpha, 0.5 * math.pi - alpha + sign * 10.0**-k)
+        for alpha in (0.2, 0.35, 0.5, 0.65, 0.9, 1.1, 1.25, 1.4)
+        for k in (2, 4, 6, 8, 10, 12)
+        for sign in (1.0, -1.0)
+    ]
+    tris = [ct.tri for ct in wide_probe()[:64] + rotated_needles() + near_right]
+    for tri, result in zip(tris, brute_force_min_isosceles_batch(tris)):
+        assert brute_force_min_isosceles(tri) == result
 
 
 # `wide_probe` inputs on which two posed witness vertices round to one point

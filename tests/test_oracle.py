@@ -251,6 +251,16 @@ class TestBruteForce:
             assert real.any()
             assert np.all(np.isnan(deltas) | (gaps <= 1e-7))
 
+    def test_roots_match_reference(self):
+        # the root finder against `reference_stationary_apex_angles`, bit for
+        # bit, on the angles of test_candidates_match_polynomial_roots
+        cubic_double = math.atan(1.0 / math.sqrt(9.0 + math.sqrt(108.0)))
+        quartic_double = math.asin(1.0 / 3.0)
+        special = [quartic_double, math.pi - quartic_double, cubic_double, math.pi - cubic_double]
+        special += [cubic_double * (1.0 + 1e-15), 0.5 * math.pi, 1e-12, math.pi - 1e-12]
+        for a in np.linspace(1e-6, math.pi - 1e-6, 20001).tolist() + special:
+            assert _search._stationary_apex_angles(a) == reference_stationary_apex_angles(a), a
+
     def test_needle_cubic_roots(self):
         # for a needle angle A the cubic's roots are about cot A and +-1;
         # the small ones must keep their digits beside cot A
@@ -388,7 +398,7 @@ class TestBatchAPI:
         def searched(*args):
             raise AssertionError("the search ran before the inputs were checked")
 
-        monkeypatch.setattr(_search, "_shape_frame", searched)
+        monkeypatch.setattr(_search, "_unit_frame", searched)
 
     def test_empty(self):
         assert brute_force_min_isosceles_batch([]) == []
@@ -457,6 +467,38 @@ class TestBatchAPI:
         # the second block's row is the one that triangle gets alone
         assert brute_force_min_isosceles(tris[-1]) == results[-1]
         assert len(calls) == 1
+
+
+def reference_stationary_apex_angles(a):
+    """The search's root finder as first written, with its Newton step as a
+    function and the signs of cot A applied by multiplication; the search's
+    `_stationary_apex_angles` must return the same list, bit for bit."""
+
+    def polished(k, t):
+        df = (3.0 * t - 2.0 * k) * t + 3.0
+        return t - (((t - k) * t + 3.0) * t + k) / df if df else t
+
+    k = 1.0 / math.tan(a)
+    kk = abs(k)
+    p = 3.0 - kk * kk / 3.0
+    q = 2.0 * kk * (1.0 - kk * kk / 27.0)
+    d = (27.0 + kk * kk * (18.0 - kk * kk)) / 27.0
+    if d < 0.0:
+        theta = math.acos(max(-1.0, min(1.0, 1.5 * q / p * math.sqrt(-3.0 / p)))) / 3.0
+        r = polished(kk, 2.0 * math.sqrt(-p / 3.0) * math.cos(theta) + kk / 3.0)
+        c = -kk / r
+        b = (c - 3.0) / r
+        h = -0.5 * (b + math.copysign(math.sqrt(max(0.0, b * b - 4.0 * c)), b))
+        ts = [r, polished(kk, h), polished(kk, c / h)]
+    else:
+        w = -0.5 * q - math.copysign(math.sqrt(d), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        r = polished(kk, u - p / (3.0 * u) + kk / 3.0)
+        ts = [r, 0.5 * (kk - r)]
+    deltas = [2.0 * math.atan(t) for t in (math.copysign(1.0, k) * t for t in ts) if t > 0.0]
+    phi = math.asin(min(1.0, 3.0 * math.sin(a)))
+    deltas += [0.5 * ((phi - a) % math.tau), 0.5 * ((math.pi - phi - a) % math.tau)]
+    return [delta for delta in deltas if 0.0 < delta < math.pi]
 
 
 def _seg_distance(p, q0, q1):
