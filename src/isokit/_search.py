@@ -2,8 +2,8 @@
 triangles, evaluated in numpy passes over fixed-size blocks of rows, each
 on the unit copy `canonicalize` defines (see
 `oracle.brute_force_min_isosceles_batch`).  Each row's least-area container
-comes back with its witness vertices, built here from the support values
-the search computed, without a second pass over the triangle.
+comes back as the search found it on that copy (`best_shapes`), and
+`oracle.OracleResult` poses it on the triangle where a caller reads it.
 
 This is the only isokit module that imports numpy when it loads.  `oracle`
 imports it on its first search, so `import isokit` and the closed-form
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import CanonicalTriangle, signed_area
+from .geo import CanonicalTriangle
 
 # rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays,
 # 83 KB each at 64 rows and M = 18.  On 1000 and 4096 sampler rows the
@@ -25,8 +25,9 @@ from .geo import CanonicalTriangle, signed_area
 # 663 KB each (2-core Xeon, 2 MiB L2 per core)
 _BLOCK_ROWS = 64
 
-# one triangle's least-area container as (apex angle, rotation, area, vertices)
-Shape = tuple[float, float, float, list[tuple[float, float]]]
+# one triangle's least-area container as (area, apex angle, unit axis
+# (vx, vy) on the copy, support values (h1, h2, hb) on the copy)
+Shape = tuple[float, float, tuple[float, float], tuple[float, float, float]]
 
 
 def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> np.ndarray:
@@ -54,24 +55,6 @@ def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> np.ndarray
     np.maximum(h, nx, out=h)
     np.maximum(h, 0.0, out=h)
     return h
-
-
-def _witness_vertices(
-    cx: float, cy: float, h1: float, h2: float, hb: float, sh: float, ch: float, ux: float, uy: float
-) -> list[tuple[float, float]]:
-    """The vertices, apex first, of the isosceles triangle with half apex
-    angle sine `sh` and cosine `ch` and unit axis (`ux`, `uy`), from the
-    base midpoint toward the apex, bounded by the lines at support values
-    (h1, h2, hb), measured from (cx, cy), along the outward normals of its
-    two legs and its base (see `_side_supports`)."""
-    apex = ((h1 + h2) / (2.0 * sh), (h2 - h1) / (2.0 * ch))
-    base1 = (-hb, -(h1 + hb * sh) / ch)
-    base2 = (-hb, (h2 + hb * sh) / ch)
-    # (xi, eta) along the axis and a quarter turn counter-clockwise from it
-    vertices = []
-    for xi, eta in (apex, base1, base2):
-        vertices.append((cx + xi * ux - eta * uy, cy + xi * uy + eta * ux))
-    return vertices
 
 
 # the signs that turn the sines and cosines of (0, beta, alpha) into the x
@@ -108,18 +91,9 @@ def _unit_frame(
     return cxy[:, :, None, None], trig[:, :, :3] * _NORMAL_SIGNS, trig[:, :, 3:]
 
 
-def _shape_frame(cts: Sequence[CanonicalTriangle]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each of `cts`: the coordinates (2, N, 1, 1) of the vertex C of
-    its unit copy, its interior angles (N, 3) `ct.alpha`, `ct.beta` and
-    `ct.gamma`, and the x and y components of its sides' unit outward
-    normals (2, N, 3), as `_unit_frame` gives them."""
-    cxy, normals, _ = _unit_frame(cts, [()] * len(cts))
-    return cxy, np.array([(ct.alpha, ct.beta, ct.gamma) for ct in cts]), normals
-
-
 def _stationary_apex_angles(a: float) -> list[float]:
     """The apex angles in (0, pi) at which the two leg-flush families of an
-    input angle `a` can be stationary (see `_candidate_apex_angles`)."""
+    input angle `a` can be stationary (see `_candidate_rows`)."""
     k = 1.0 / math.tan(a)
     # the roots of t^3 - k t^2 + 3t + k change sign with k, so solve for
     # kk = |k| >= 0 and flip them back
@@ -171,28 +145,9 @@ def _stationary_apex_angles(a: float) -> list[float]:
 
 
 def _candidate_rows(angles: Sequence[Sequence[float]]) -> list[list[float]]:
-    """`_candidate_apex_angles` of the rows of interior angles `angles`, as
-    lists."""
-    half_pi = 0.5 * math.pi
-    rows = []
-    for angle_row in angles:
-        row = [*angle_row]
-        for a in angle_row:
-            row.append(math.pi - 2.0 * a if a < half_pi else half_pi)
-        row.append(half_pi)
-        for a in angle_row:
-            row += _stationary_apex_angles(a)
-        rows.append(row)
-    width = max(map(len, rows))
-    for row in rows:
-        row += [half_pi] * (width - len(row))
-    return rows
-
-
-def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     """Every apex angle at which a flush container's area, as a function of
-    the apex angle, can have a local minimum, for triangles with interior
-    angles `angles` (N, 3); returns (N, M).
+    the apex angle, can have a local minimum, for triangles with the rows of
+    interior angles `angles`; one list per row, all of one length.
 
     With one container side on the line of an input side PQ, the other two
     sides each pass through P, Q or the third vertex R.  Which one changes
@@ -213,15 +168,28 @@ def _candidate_apex_angles(angles: np.ndarray) -> np.ndarray:
     lost where rounding turns a double root into a complex pair: the cubic
     keeps the pair's real part, and the quartic clamps 3 sin A at 1.
 
-    Each row lists the three input angles, their kinks pi - 2A, pi/2 and
-    then the roots' apex angles in (0, pi), angle by angle.  A kink of a
-    right or obtuse angle is not positive and becomes pi/2, and rows with
-    fewer roots are padded with pi/2 to the widest row.  Either way the
-    pi/2 repeats an earlier candidate and so never wins a first-index
-    argmin.  Rows are built one at a time in scalar arithmetic, so only a
-    row's padding depends on its batch.
+    Each row lists the input angles, their kinks pi - 2A, pi/2 and then the
+    roots' apex angles in (0, pi), angle by angle.  A kink of a right or
+    obtuse angle is not positive and becomes pi/2, and rows with fewer
+    roots are padded with pi/2 to the widest row.  Either way the pi/2
+    repeats an earlier candidate and so never wins a first-index argmin.
+    Rows are built one at a time in scalar arithmetic, so only a row's
+    padding depends on its batch.
     """
-    return np.array(_candidate_rows(angles.tolist()))
+    half_pi = 0.5 * math.pi
+    rows = []
+    for angle_row in angles:
+        row = [*angle_row]
+        for a in angle_row:
+            row.append(math.pi - 2.0 * a if a < half_pi else half_pi)
+        row.append(half_pi)
+        for a in angle_row:
+            row += _stationary_apex_angles(a)
+        rows.append(row)
+    width = max(map(len, rows))
+    for row in rows:
+        row += [half_pi] * (width - len(row))
+    return rows
 
 
 def _flush_axes(normals: np.ndarray, sh: np.ndarray, ch: np.ndarray) -> np.ndarray:
@@ -269,36 +237,24 @@ def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
     # flattened (N, M, 9) array
     best = areas.reshape(n, -1).argmin(axis=1)
     flat = best + np.arange(0, n * m * 9, m * 9)
-    picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)]
-    picked += axes.reshape(2, -1).take(flat, axis=1).tolist() + trig9.reshape(2, -1).take(flat, axis=1).tolist()
-    shapes = []
-    for ct, row, j, area, g1, g2, gb, vx, vy, hs, hc in zip(cts, rows, best.tolist(), *picked):
-        # the copy's point (x, y) is A + c (x u + s y u') on the triangle, with
-        # u = (B - A) / c, u' = (-uy, ux) and s = -1 where A, B, C wind clockwise
-        A, B, c = ct.tri.A, ct.tri.B, ct.c
-        ux, uy = (B.x - A.x) / c, (B.y - A.y) / c
-        s = math.copysign(1.0, signed_area(ct.tri))
-        # the axis on the triangle; a mirrored copy turns the first leg's
-        # outward normal into the second's
-        ax, ay = vx * ux - s * vy * uy, vx * uy + s * vy * ux
-        if s < 0.0:
-            g1, g2 = g2, g1
-        vertices = _witness_vertices(A.x, A.y, g1 * c, g2 * c, gb * c, hs, hc, ax, ay)
-        shapes.append((row[j // 9], math.atan2(ay, ax) % math.tau, area * c * c, vertices))
-    return shapes
+    picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
+    return [
+        (area * ct.c * ct.c, row[j // 9], (vx, vy), (g1, g2, gb))
+        for ct, row, j, area, g1, g2, gb, vx, vy in zip(cts, rows, best.tolist(), *picked)
+    ]
 
 
 def best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
-    """The least-area flush container of each of `cts`, as (apex angle,
-    rotation, area, vertices), each row searched on its unit copy (see
-    `_unit_frame`) with its own argmin.
+    """The least-area flush container of each of `cts`, as (area, apex
+    angle, unit axis, support values), each row searched on its unit copy
+    (see `_unit_frame`) with its own argmin.
 
-    The rotation is atan2 of the chosen unit axis, mapped back to the
-    triangle, reduced to [0, 2 pi).  The area is the value the argmin
-    picked, times c squared.  The vertices, apex first, bound the container
-    at the support values that area came from, times c, about the vertex A
-    (`_witness_vertices`).  The rows are searched in blocks of
-    `_BLOCK_ROWS`, so a batch's memory does not grow with its length.
+    The area is the value the argmin picked, times c squared.  The axis
+    (vx, vy) points from the base midpoint toward the apex on the copy, and
+    the support values (h1, h2, hb) are the copy's at the outward normals
+    of the two legs and the base (`_side_supports`), unscaled.  The rows
+    are searched in blocks of `_BLOCK_ROWS`, so a batch's memory does not
+    grow with its length.
     """
     shapes: list[Shape] = []
     for start in range(0, len(cts), _BLOCK_ROWS):

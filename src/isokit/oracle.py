@@ -26,6 +26,7 @@ from .geo import (
     _check_nondegenerate,
     _check_scalene,
     canonicalize,
+    signed_area,
 )
 from .minimize import MinimizerResult, minimum_isosceles_container
 
@@ -39,24 +40,69 @@ __all__ = [
     "verify_triangles",
 ]
 
-# relative tolerance of the witness structure checks: distances are scaled
-# by the witness's longest side, angles are in radians
-_EPS_GEOM = 1e-5
+# relative tolerance of the witness structure checks on the unit copy the
+# search ran on: distances scale with the witness's longest side, angles are radians
+_EPS_GEOM = 1e-7
 
 
 @dataclass(frozen=True, init=False)
 class OracleResult:
-    """The least-area container the search found: its area, its vertices
-    (apex first), its apex angle in (0, pi) and its axis direction, from the
-    base midpoint toward the apex, in [0, 2 pi)."""
+    """The least-area container the search found on the unit copy of
+    `input` that `canonicalize` defines (AB from (0, 0) to (1, 0), C at
+    (b/c)(cos alpha, sin alpha)): its area, its apex angle in (0, pi), its
+    unit axis (vx, vy) from the base midpoint toward the apex, and the
+    copy's support values (h1, h2, hb) at the outward normals of its legs
+    and base.  `rotation` and `witness` pose it on the input on each read."""
 
+    input: CanonicalTriangle
     min_area: float
-    witness: Triangle
     apex_angle: float
-    rotation: float
+    axis: tuple[float, float]
+    supports: tuple[float, float, float]
 
-    def __init__(self, min_area: float, witness: Triangle, apex_angle: float, rotation: float) -> None:
-        self.__dict__.update(min_area=min_area, witness=witness, apex_angle=apex_angle, rotation=rotation)
+    def __init__(self, input: CanonicalTriangle, min_area: float, apex_angle: float, axis: tuple, supports: tuple) -> None:
+        self.__dict__.update(input=input, min_area=min_area, apex_angle=apex_angle, axis=axis, supports=supports)
+
+    def _pose(self) -> tuple[float, float, float, float]:
+        """The axis on the input, and the leg supports (h1, h2) in the
+        input's order.  The copy's point (x, y) is A + c (x u + s y u') on the
+        input, with u = (B - A) / c, u' = (-uy, ux) and s = -1 where A, B, C
+        wind clockwise; that mirror turns the first leg's normal into the second's."""
+        tri, c = self.input.tri, self.input.c
+        ux, uy = (tri.B.x - tri.A.x) / c, (tri.B.y - tri.A.y) / c
+        s = math.copysign(1.0, signed_area(tri))
+        (vx, vy), (h1, h2, _) = self.axis, self.supports
+        return vx * ux - s * vy * uy, vx * uy + s * vy * ux, *((h2, h1) if s < 0.0 else (h1, h2))
+
+    @property
+    def rotation(self) -> float:
+        """The direction of the axis on the input, in [0, 2 pi)."""
+        ax, ay, _, _ = self._pose()
+        return math.atan2(ay, ax) % math.tau
+
+    @property
+    def witness(self) -> Triangle:
+        """The container on the input, apex first."""
+        ax, ay, h1, h2 = self._pose()
+        A, c = self.input.tri.A, self.input.c
+        vertices = _witness_vertices(A.x, A.y, h1 * c, h2 * c, self.supports[2] * c, self.apex_angle, ax, ay)
+        return Triangle(*(Point(x, y) for x, y in vertices))
+
+
+def _witness_vertices(
+    cx: float, cy: float, h1: float, h2: float, hb: float, delta: float, ux: float, uy: float
+) -> list[tuple[float, float]]:
+    """The vertices, apex first, of the isosceles triangle with apex angle
+    `delta` and unit axis (`ux`, `uy`), from the base midpoint toward the
+    apex, bounded by the lines at support values (h1, h2, hb), measured
+    from (cx, cy), along the outward normals of its two legs and its base,
+    in the order `_search._side_supports` gives them."""
+    sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
+    apex = ((h1 + h2) / (2.0 * sh), (h2 - h1) / (2.0 * ch))
+    base1 = (-hb, -(h1 + hb * sh) / ch)
+    base2 = (-hb, (h2 + hb * sh) / ch)
+    # (xi, eta) along the axis and a quarter turn counter-clockwise from it
+    return [(cx + xi * ux - eta * uy, cy + xi * uy + eta * ux) for xi, eta in (apex, base1, base2)]
 
 
 @dataclass(frozen=True, init=False)
@@ -96,9 +142,9 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     flush with a side of the input.
 
     Apex angle: the flush containers' areas are smooth between closed-form
-    kinks, with closed-form stationary points (see
-    `_search._candidate_apex_angles`).  The minimum is at one of those apex angles,
-    each evaluated at all nine flush rotations.
+    kinks, with closed-form stationary points (see `_search._candidate_rows`).
+    The minimum is at one of those apex angles, each evaluated at all nine
+    flush rotations.
 
     Every triangle goes through `canonicalize` before the search, which
     raises its errors.  The search runs array passes over fixed-size blocks
@@ -106,9 +152,9 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     from (0, 0) to (1, 0)) and with its own argmin, so a result does not
     depend on the rest of the batch, nor on the triangle's pose.
     `min_area` is the least area the search found on that copy, times the
-    longest side squared.  The witness is the container bounded by the
-    support values that area came from, which the search builds itself
-    (`_search.best_shapes`).  The search takes no tolerances.
+    longest side squared.  The result keeps the copy's apex angle, axis and
+    the support values that area came from (`_search.best_shapes`), and
+    poses the witness they bound on read.  The search takes no tolerances.
     Deterministic: ties go to the first candidate.
     """
     return _searched([canonicalize(t) for t in triangles])
@@ -122,10 +168,7 @@ def _searched(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
     # imported on first use, so that `import isokit` does not load numpy
     from ._search import best_shapes
 
-    return [
-        OracleResult(min_area, Triangle(Point(*a), Point(*b), Point(*c)), apex_angle, rotation)
-        for apex_angle, rotation, min_area, (a, b, c) in best_shapes(cts)
-    ]
+    return [OracleResult(ct, *shape) for ct, shape in zip(cts, best_shapes(cts))]
 
 
 def brute_force_min_isosceles(t: Triangle) -> OracleResult:
@@ -276,12 +319,11 @@ def _corner(pts: list[tuple[float, float]], k: int) -> tuple[list[tuple[float, f
     return rays, _angle_between(*rays[0], *rays[1])
 
 
-def _witness_flags(ct: CanonicalTriangle, witness: Triangle) -> dict[str, bool]:
-    A, B, C = witness.A, witness.B, witness.C
-    x0, y0, x1, y1, x2, y2 = A.x, A.y, B.x, B.y, C.x, C.y
-    w = [(x0, y0), (x1, y1), (x2, y2)]
-    A, B, C = ct.tri.A, ct.tri.B, ct.tri.C
-    ins = [(A.x, A.y), (B.x, B.y), (C.x, C.y)]
+def _witness_flags(ct: CanonicalTriangle, w: list[tuple[float, float]]) -> dict[str, bool]:
+    """The structure checks of witness vertices `w` on the unit copy of `ct`."""
+    (x0, y0), (x1, y1), (x2, y2) = w
+    r = ct.b / ct.c
+    ins = [(0.0, 0.0), (1.0, 0.0), (r * math.cos(ct.alpha), r * math.sin(ct.alpha))]
     # witness side i runs from vertex i to vertex i + 1
     sides = ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0))
     scale = max(math.hypot(x0 - x1, y0 - y1), math.hypot(x1 - x2, y1 - y2), math.hypot(x2 - x0, y2 - y0))
@@ -378,12 +420,13 @@ def _closed_forms(cts: Sequence[CanonicalTriangle]) -> list[MinimizerResult]:
 
 
 def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
+    w = _witness_vertices(0.0, 0.0, *oracle.supports, oracle.apex_angle, *oracle.axis)
     return VerificationReport(
         input=ct,
         relative_gap=(oracle.min_area - closed.min_area) / closed.min_area,
         min_result=closed,
         oracle_result=oracle,
-        flags=_witness_flags(ct, oracle.witness),
+        flags=_witness_flags(oracle.input, w),
     )
 
 

@@ -43,7 +43,7 @@ def _min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle
     `_witness_vertices` builds the triangle from them."""
     import math
 
-    from isokit._search import _witness_vertices
+    from isokit.oracle import _witness_vertices
 
     delta, rotation = shape
     sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
@@ -54,7 +54,7 @@ def _min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle
     # -u, with u = (ux, uy) and u' = (-uy, ux)
     normals = ((sh * ux + ch * uy, sh * uy - ch * ux), (sh * ux - ch * uy, sh * uy + ch * ux), (-ux, -uy))
     h1, h2, hb = (max(nx * x + ny * y for x, y in pts) for nx, ny in normals)
-    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, sh, ch, ux, uy)))
+    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, delta, ux, uy)))
 
 
 @pytest.fixture(scope="session")

@@ -439,17 +439,21 @@ def test_batch_rows_are_single_calls():
         assert brute_force_min_isosceles(tri) == result
 
 
-# `wide_probe` inputs on which two posed witness vertices round to one point
+# `wide_probe` inputs on which two posed witness vertices round to one
+# point, so a check on the posed witness would divide by that zero side
 WIDE_PROBE_ZERO_SIDE_WITNESSES = (430, 484, 509, 736, 776)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ZeroDivisionError,
-    reason="known defect: the witness checks run on the posed witness and divide by its zero side in oracle._corner",
-)
 def test_verify_reports_on_zero_side_witnesses():
     cts = wide_probe()
     picked = [cts[i] for i in WIDE_PROBE_ZERO_SIDE_WITNESSES]
     reports = verify_triangles(picked)
     assert [report.input for report in reports] == picked
+
+
+def test_wide_probe_witness_flags_hold():
+    # the checks run on the unit copy the search ran on, so no size, offset
+    # or rotation of the accepted domain leaves a flag False
+    reports = verify_triangles(wide_probe())
+    assert len(reports) == 1000
+    assert [i for i, report in enumerate(reports) if not all(report.flags.values())] == []

@@ -14,6 +14,7 @@ from isokit import (
     Triangle,
     all_special_containers,
     area,
+    canonicalize,
     brute_force_min_isosceles,
     brute_force_min_isosceles_batch,
     can_cover,
@@ -28,12 +29,12 @@ from isokit import (
     verify_triangles,
 )
 from isokit import _search, oracle
-from isokit.oracle import _witness_flags
+from isokit.oracle import _witness_flags, _witness_vertices
 from isokit._search import (
-    _candidate_apex_angles,
+    _candidate_rows,
     _container_areas,
     _flush_axes,
-    _shape_frame,
+    _unit_frame,
 )
 
 
@@ -165,8 +166,8 @@ class TestBruteForce:
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             ct = triangle_from_angles(math.pi * u, math.pi * (v - u))
-            cxy, angles, normals = _shape_frame([ct])
-            candidates = _candidate_apex_angles(angles)[0]
+            cxy, normals, _ = _unit_frame([ct], [()])
+            candidates = np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma)]))[0]
             sh, ch = np.sin(0.5 * grid[None, :, None]), np.cos(0.5 * grid[None, :, None])
             flush = _container_areas(cxy, sh, ch, _flush_axes(normals, sh, ch))[0][0]
             assert flush.shape == (len(grid), 9)
@@ -185,8 +186,8 @@ class TestBruteForce:
         # (0, 0), (1, 0) and C, here at every flush axis of every candidate
         # apex angle, with the normals written as `_side_supports` writes them
         cts = [*sample_canonical_triangles(seed=42, count=64), triangle_from_angles(1e-9, 0.3)]
-        cxy, angles, normals = _shape_frame(cts)
-        half = 0.5 * _candidate_apex_angles(angles)[..., None]
+        cxy, normals, _ = _unit_frame(cts, [()] * len(cts))
+        half = 0.5 * np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma) for ct in cts]))[..., None]
         sh, ch = np.sin(half), np.cos(half)
         ux, uy = _flush_axes(normals, sh, ch)
         legs_and_base = [
@@ -214,7 +215,7 @@ class TestBruteForce:
     def test_right_and_obtuse_input(self, ct):
         # a right or obtuse angle A has no kink pi - 2A in (0, pi)
         assert abs(ct.gamma - 0.5 * math.pi) <= 1e-12 or ct.gamma > 0.6 * math.pi
-        candidates = _candidate_apex_angles(_shape_frame([ct])[1])
+        candidates = np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma)]))
         assert np.all((candidates > 0.0) & (candidates < math.pi))
         assert abs(verify_triangle(ct).relative_gap) <= 1e-9
 
@@ -234,7 +235,7 @@ class TestBruteForce:
         special += [cubic_double * (1.0 + 1e-15), 0.5 * math.pi, 1e-12, math.pi - 1e-12]
         angles = np.concatenate([sweep, special])
         # one input angle per row
-        candidates = _candidate_apex_angles(angles[:, None])
+        candidates = np.array(_candidate_rows(angles[:, None].tolist()))
         assert np.all((candidates > 0.0) & (candidates < math.pi))
 
         k = 1.0 / np.tan(angles)
@@ -266,7 +267,7 @@ class TestBruteForce:
         # the small ones must keep their digits beside cot A
         for a in (1e-6, 3e-7, 1e-7):
             k = 1.0 / math.tan(a)
-            candidates = _candidate_apex_angles(np.array([[a]]))[0]
+            candidates = np.array(_candidate_rows([[a]]))[0]
             for t in np.roots([1.0, -k, 3.0, k]).real:
                 if t > 0.0:
                     assert np.min(np.abs(candidates - 2.0 * math.atan(t))) <= 1e-12
@@ -509,12 +510,11 @@ def _seg_distance(p, q0, q1):
     return math.hypot(dx - s * ex, dy - s * ey)
 
 
-def reference_witness_flags(ct, witness, eps_geom=1e-5):
+def reference_witness_flags(ins, w, eps_geom=1e-7):
     """The witness checks written plainly, one `_seg_distance` call per
-    (input vertex, half side) pair and the rays of every shared pair; the
-    oracle's `_witness_flags` must give the same booleans."""
-    w = [(v.x, v.y) for v in witness.vertices]
-    ins = [(v.x, v.y) for v in ct.tri.vertices]
+    (input vertex, half side) pair and the rays of every shared pair, for
+    input vertices `ins` and witness vertices `w` given as (x, y) pairs;
+    the oracle's `_witness_flags` must give the same booleans."""
     scale = max(math.hypot(w[i][0] - w[(i + 1) % 3][0], w[i][1] - w[(i + 1) % 3][1]) for i in range(3))
     eps = eps_geom * scale
     mids = [((w[i][0] + w[(i + 1) % 3][0]) / 2.0, (w[i][1] + w[(i + 1) % 3][1]) / 2.0) for i in range(3)]
@@ -564,11 +564,22 @@ def reference_witness_flags(ct, witness, eps_geom=1e-5):
     }
 
 
+def unit_copy(report):
+    """The input and witness vertices of `report` on the unit copy the
+    search ran on, as (x, y) pairs: the input (0, 0), (1, 0) and
+    (b/c)(cos alpha, sin alpha), and the witness from the copy's supports."""
+    result = report.oracle_result
+    ct = result.input
+    r = ct.b / ct.c
+    ins = [(0.0, 0.0), (1.0, 0.0), (r * math.cos(ct.alpha), r * math.sin(ct.alpha))]
+    return ins, _witness_vertices(0.0, 0.0, *result.supports, result.apex_angle, *result.axis)
+
+
 class TestWitnessFlags:
     @pytest.mark.parametrize("seed", range(5))
     def test_sampler_matches_reference(self, seed):
         for rep in verify_triangles(sample_canonical_triangles(seed=seed, count=2000)):
-            assert rep.flags == reference_witness_flags(rep.input, rep.oracle_result.witness)
+            assert rep.flags == reference_witness_flags(*unit_copy(rep))
 
     def test_fine_tolerance_shares_side_and_angle(self, monkeypatch):
         # with the tolerance at 1e-8 rad, the cosine of the angle between two
@@ -577,27 +588,49 @@ class TestWitnessFlags:
         monkeypatch.setattr(oracle, "_EPS_GEOM", 1e-8)
         for rep in verify_triangles(sample_canonical_triangles(seed=42, count=2000)):
             assert all(rep.flags.values()), rep.flags
-            assert rep.flags == reference_witness_flags(rep.input, rep.oracle_result.witness, eps_geom=1e-8)
+            assert rep.flags == reference_witness_flags(*unit_copy(rep), eps_geom=1e-8)
 
     def test_nudged_witnesses_match_reference(self):
-        # witnesses with one vertex moved, or grown about their centroid, by
-        # about the checks' tolerance (1e-5 of the witness size), so that
-        # every flag is False on some of them
+        # copy witnesses with one vertex moved, or grown about their
+        # centroid, by about the checks' tolerance (1e-7 of the witness
+        # size), so that every flag is False on some of them
         rng = np.random.default_rng(17)
         failed = set()
         for rep in verify_triangles(sample_canonical_triangles(seed=5, count=200)):
-            w = rep.oracle_result.witness.vertices
-            size = max(dist(w[i], w[i - 1]) for i in range(3))
-            cx, cy = sum(p.x for p in w) / 3.0, sum(p.y for p in w) / 3.0
+            ins, w = unit_copy(rep)
+            size = max(math.hypot(w[i][0] - w[i - 1][0], w[i][1] - w[i - 1][1]) for i in range(3))
+            cx, cy = sum(x for x, _ in w) / 3.0, sum(y for _, y in w) / 3.0
             for _ in range(5):
-                step = size * 10.0 ** rng.uniform(-7.0, -3.0)
+                step = size * 10.0 ** rng.uniform(-9.0, -5.0)
                 k, turn = rng.integers(3), rng.uniform(0.0, 2.0 * math.pi)
                 moved = list(w)
-                moved[k] = Point(w[k].x + step * math.cos(turn), w[k].y + step * math.sin(turn))
-                grow = 1.0 + 10.0 ** rng.uniform(-7.0, -3.0)
-                grown = [Point(cx + grow * (p.x - cx), cy + grow * (p.y - cy)) for p in w]
-                for nudged in (Triangle(*moved), Triangle(*grown)):
-                    flags = _witness_flags(rep.input, nudged)
-                    assert flags == reference_witness_flags(rep.input, nudged)
+                moved[k] = (w[k][0] + step * math.cos(turn), w[k][1] + step * math.sin(turn))
+                grow = 1.0 + 10.0 ** rng.uniform(-9.0, -5.0)
+                grown = [(cx + grow * (x - cx), cy + grow * (y - cy)) for x, y in w]
+                for nudged in (moved, grown):
+                    flags = _witness_flags(rep.oracle_result.input, nudged)
+                    assert flags == reference_witness_flags(ins, nudged)
                     failed.update(name for name, ok in flags.items() if not ok)
         assert failed == set(rep.flags)
+
+    def test_flags_do_not_depend_on_pose(self):
+        # the checks run on the unit copy, so moving the input far from the
+        # origin, or turning it, changes no flag: posed at 1e12 sizes, the
+        # witness would be rounded at the offset
+        cts = sample_canonical_triangles(seed=5, count=200)
+        unposed = [rep.flags for rep in verify_triangles(cts)]
+        for offset in (0.0, 1e4, 1e8, 1e12):
+            for theta in (0.3, 2.1):
+                c, s = math.cos(theta), math.sin(theta)
+                posed = [
+                    canonicalize(
+                        Triangle(
+                            *(
+                                Point(offset * ct.c + c * p.x - s * p.y, offset * ct.c + s * p.x + c * p.y)
+                                for p in ct.tri.vertices
+                            )
+                        )
+                    )
+                    for ct in cts
+                ]
+                assert [rep.flags for rep in verify_triangles(posed)] == unposed
