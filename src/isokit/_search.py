@@ -2,8 +2,8 @@
 triangles, evaluated in numpy passes over fixed-size blocks of rows, each
 on the unit copy `canonicalize` defines (see
 `oracle.brute_force_min_isosceles_batch`).  Each row's least-area container
-comes back as the search found it on that copy (`best_shapes`), and
-`oracle.OracleResult` poses it on the triangle where a caller reads it.
+comes back as the `oracle.OracleResult` that `search` builds where the
+argmin picks it; that class's docstring says what the record holds.
 
 This is the only isokit module that imports numpy when it loads.  `oracle`
 imports it on its first search, so `import isokit` and the closed-form
@@ -18,16 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .geo import CanonicalTriangle
+from .oracle import OracleResult
 
 # rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays,
 # 83 KB each at 64 rows and M = 18.  On 1000 and 4096 sampler rows the
 # search took 0.67-0.72 times as long as at 512 rows, whose arrays are
 # 663 KB each (2-core Xeon, 2 MiB L2 per core)
 _BLOCK_ROWS = 64
-
-# one triangle's least-area container as (area, apex angle, unit axis
-# (vx, vy) on the copy, support values (h1, h2, hb) on the copy)
-Shape = tuple[float, float, tuple[float, float], tuple[float, float, float]]
 
 
 def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> np.ndarray:
@@ -223,8 +220,8 @@ def _container_areas(
     return area, h1, h2, hb
 
 
-def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
-    """`best_shapes` for one block of rows, in one array pass."""
+def _block_search(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
+    """`search` for one block of rows, in one array pass."""
     rows = _candidate_rows([(ct.alpha, ct.beta, ct.gamma) for ct in cts])
     cxy, normals, trig = _unit_frame(cts, rows)
     n, m = trig.shape[1:]
@@ -239,24 +236,16 @@ def _block_best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
     flat = best + np.arange(0, n * m * 9, m * 9)
     picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
     return [
-        (area * ct.c * ct.c, row[j // 9], (vx, vy), (g1, g2, gb))
+        OracleResult(ct, area * ct.c * ct.c, row[j // 9], (vx, vy), (g1, g2, gb))
         for ct, row, j, area, g1, g2, gb, vx, vy in zip(cts, rows, best.tolist(), *picked)
     ]
 
 
-def best_shapes(cts: Sequence[CanonicalTriangle]) -> list[Shape]:
-    """The least-area flush container of each of `cts`, as (area, apex
-    angle, unit axis, support values), each row searched on its unit copy
-    (see `_unit_frame`) with its own argmin.
-
-    The area is the value the argmin picked, times c squared.  The axis
-    (vx, vy) points from the base midpoint toward the apex on the copy, and
-    the support values (h1, h2, hb) are the copy's at the outward normals
-    of the two legs and the base (`_side_supports`), unscaled.  The rows
-    are searched in blocks of `_BLOCK_ROWS`, so a batch's memory does not
-    grow with its length.
-    """
-    shapes: list[Shape] = []
+def search(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
+    """The least-area flush container of each of `cts`, each row searched
+    on its unit copy (see `_unit_frame`) with its own argmin, in blocks of
+    `_BLOCK_ROWS` rows, so a batch's memory does not grow with its length."""
+    results: list[OracleResult] = []
     for start in range(0, len(cts), _BLOCK_ROWS):
-        shapes += _block_best_shapes(cts[start : start + _BLOCK_ROWS])
-    return shapes
+        results += _block_search(cts[start : start + _BLOCK_ROWS])
+    return results

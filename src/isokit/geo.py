@@ -10,6 +10,7 @@ safe to use concurrently without locking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,8 +50,9 @@ class NotScalene(GeometryError):
 
 
 # a triangle whose area is at most this times its squared bounding-box
-# diagonal is degenerate
+# diagonal is degenerate, and so is one whose area is a subnormal float
 _EPS_AREA_FACTOR = 1e-12
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,13 @@ def _eps_area(t: Triangle) -> float:
 
 def _check_nondegenerate(t: Triangle) -> float:
     """Raise `NonFinite` if `t`'s area or `_eps_area` overflows, and
-    `DegenerateTriangle` unless the area exceeds `_eps_area`; return its
-    `signed_area`."""
+    `DegenerateTriangle` unless the area exceeds `_eps_area` and is a
+    normal float (below an extent of about 1e-154 the threshold underflows);
+    return its `signed_area`."""
     signed, eps = signed_area(t), _eps_area(t)
     if not (math.isfinite(signed) and math.isfinite(eps)):
         raise NonFinite(f"triangle area {abs(signed)} or its threshold {eps} is not finite")
-    if abs(signed) <= eps:
+    if abs(signed) <= eps or abs(signed) < _MIN_NORMAL:
         raise DegenerateTriangle(f"triangle area {abs(signed)} is below threshold")
     return signed
 

@@ -100,10 +100,18 @@ def minimum_isosceles_container(ct: CanonicalTriangle) -> MinimizerResult:
             candidates=(),
         )
     fk = first_kind(ct)
-    ab1c = second_kind(ct)[0]
-    candidates = (fk[0], fk[1], ab1c)  # AB'C, ABC', AB1C
-    min_ratio = min(c.ratio for c in candidates)
-    minimizers = tuple(c for c in candidates if c.ratio <= min_ratio * (1.0 + DEFAULT_TOLERANCES.eps_tie))
+    p, q, r = candidates = (fk[0], fk[1], second_kind(ct)[0])  # AB'C, ABC', AB1C
+    # by comparisons: on CPython 3.11 a generator expression is a function call
+    rp, rq, rr = p.ratio, q.ratio, r.ratio
+    min_ratio = rq if rq < rp else rp
+    if rr < min_ratio:
+        min_ratio = rr
+    bound = min_ratio * (1.0 + DEFAULT_TOLERANCES.eps_tie)
+    minimizers = (p,) if rp <= bound else ()
+    if rq <= bound:
+        minimizers += (q,)
+    if rr <= bound:
+        minimizers += (r,)
     return MinimizerResult(
         min_area=min_ratio * ct.area,
         min_ratio=min_ratio,

@@ -49,10 +49,11 @@ _EPS_GEOM = 1e-7
 class OracleResult:
     """The least-area container the search found on the unit copy of
     `input` that `canonicalize` defines (AB from (0, 0) to (1, 0), C at
-    (b/c)(cos alpha, sin alpha)): its area, its apex angle in (0, pi), its
-    unit axis (vx, vy) from the base midpoint toward the apex, and the
-    copy's support values (h1, h2, hb) at the outward normals of its legs
-    and base.  `rotation` and `witness` pose it on the input on each read."""
+    (b/c)(cos alpha, sin alpha)): its area (the copy's times c squared),
+    its apex angle in (0, pi), its unit axis (vx, vy) from the base
+    midpoint toward the apex, and the copy's support values (h1, h2, hb) at
+    the outward normals of its legs and base.  `rotation` and `witness`
+    pose it on the input on each read."""
 
     input: CanonicalTriangle
     min_area: float
@@ -151,11 +152,9 @@ def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[Oracl
     of rows, each on the unit copy `canonicalize` defines (longest side
     from (0, 0) to (1, 0)) and with its own argmin, so a result does not
     depend on the rest of the batch, nor on the triangle's pose.
-    `min_area` is the least area the search found on that copy, times the
-    longest side squared.  The result keeps the copy's apex angle, axis and
-    the support values that area came from (`_search.best_shapes`), and
-    poses the witness they bound on read.  The search takes no tolerances.
-    Deterministic: ties go to the first candidate.
+    Each result is an `OracleResult`, whose docstring says what it holds.
+    The search takes no tolerances.  Deterministic: ties go to the first
+    candidate.
     """
     return _searched([canonicalize(t) for t in triangles])
 
@@ -166,9 +165,9 @@ def _searched(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
     if not cts:
         return []
     # imported on first use, so that `import isokit` does not load numpy
-    from ._search import best_shapes
+    from ._search import search
 
-    return [OracleResult(ct, *shape) for ct, shape in zip(cts, best_shapes(cts))]
+    return search(cts)
 
 
 def brute_force_min_isosceles(t: Triangle) -> OracleResult:
@@ -233,10 +232,7 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
     side e.  A target whose area exceeds what those allowances let any
     configuration hold is rejected by an area bound before the 2 x 3 x 3
     configurations are tried; the bound answers only where they would all
-    answer False.  On perfbench's `closed_form` inputs a reject takes about
-    6.7-7.0 us and an accept about 15.7-16.4 us (`perfbench/run.py --workload
-    closed_form --seed 1 --seconds 30 --trace 1`, two runs, 2-core Intel
-    Xeon VM, Python 3.11.7).
+    answer False.
     """
     mover_ccw, m0, m1, m2, mover_area = _ccw_sides_area(mover)
     target_ccw, t0, t1, t2, target_area = _ccw_sides_area(target)

@@ -144,6 +144,13 @@ class TestMin:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: triangle needs one of 'sides' and 'vertices', got both\n"
 
+    def test_json_neither_form_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"triangle": {}}))
+        code, out, err = run(capsys, "min", "--json", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: triangle needs 'sides' or 'vertices'\n"
+
     def test_json_int_too_large_for_a_float_exits_2(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"triangle": {"sides": [10**400, 4, 5]}}))
@@ -252,6 +259,13 @@ class TestInvalidInput:
         code, out, err = run(capsys, "min", "--vertices", vertices)
         assert (code, out) == (2, "")
         assert err.startswith("error: triangle area ") and err.endswith(" is not finite\n")
+
+    def test_subnormal_area_sides(self, capsys):
+        # the area is a subnormal float, which the library cannot hold at
+        # full precision: invalid input, not a ratio off in the fifth digit
+        code, out, err = run(capsys, "min", "--sides", "1e-160,1.2e-160,1.5e-160")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: triangle area ") and err.endswith(" is below threshold\n")
 
     def test_verify_zero_samples(self, capsys):
         code, _, err = run(capsys, "verify", "--samples", "0")

@@ -19,6 +19,7 @@ from isokit import (
     contains_triangle,
     signed_area,
     triangle_from_sides,
+    verify_triangle,
 )
 from isokit.geo import _angle_between
 from isokit.oracle import _corner
@@ -253,6 +254,27 @@ def test_overflowing_triangle_is_non_finite(entry, extent):
         _ENTRY_POINTS[entry](tri(0.0, 0.0, extent, 0.0, 0.0, extent))
     # the same shape a little smaller is accepted
     _ENTRY_POINTS[entry](tri(0.0, 0.0, 1e153, 0.0, 0.0, 1e153))
+
+
+def small_triangle(s):
+    return tri(0.0, 0.0, 1.5 * s, 0.0, s, 0.8 * s)
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("s", [1e-154, 1e-155, 1e-160])
+def test_subnormal_area_is_degenerate(entry, s):
+    # the area 0.6 s^2 is a subnormal float, and the threshold underflows
+    # to 0 or near it; the same shape a little larger is accepted
+    with pytest.raises(DegenerateTriangle):
+        _ENTRY_POINTS[entry](small_triangle(s))
+    _ENTRY_POINTS[entry](small_triangle(1e-153))
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-153])
+def test_smallest_normal_areas_verify(s):
+    report = verify_triangle(canonicalize(small_triangle(s)))
+    assert abs(report.relative_gap) <= 1e-15
+    assert all(report.flags.values())
 
 
 def test_needle_corner_angle():

@@ -101,3 +101,27 @@ assert "numpy" in sys.modules
 """
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_imported_first_yields_the_exported_result_class():
+    proc = run_fresh(
+        """
+import isokit._search
+import isokit
+assert isokit._search.OracleResult is isokit.OracleResult
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_empty_batches_leave_numpy_unloaded():
+    proc = run_fresh(
+        """
+from isokit import brute_force_min_isosceles_batch, verify_triangles
+assert brute_force_min_isosceles_batch([]) == []
+check("brute_force_min_isosceles_batch([])")
+assert verify_triangles([]) == []
+check("verify_triangles([])")
+"""
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -134,6 +134,18 @@ class TestAlphaStar:
     def test_residual_at_root(self):
         assert abs(alpha_star_equation(alpha_star())) < 1e-12
 
+    @pytest.mark.parametrize("root", [0.0, 1.0])
+    def test_endpoint_root_is_returned(self, root):
+        # an exact root at either end is returned at once, without bisecting
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - root
+
+        assert _bisect(f, 0.0, 1.0) == root
+        assert seen == [0.0, 1.0]
+
     def test_bracket_failure_guard(self):
         with pytest.raises(BracketFailure):
             _bisect(lambda x: 1.0 + x * x, 0.0, 1.0)

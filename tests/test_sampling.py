@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isokit import (
+    DegenerateTriangle,
     DEFAULT_MIN_ANGLE,
     DEFAULT_SCALENE_MARGIN,
     ShapeClass,
@@ -139,3 +140,11 @@ def test_triangle_from_sides_validation():
 def test_triangle_from_sides_lengths():
     ct = triangle_from_sides(4.0, 5.0, 6.0)
     assert (ct.a, ct.b, ct.c) == pytest.approx((4.0, 5.0, 6.0), rel=1e-12)
+
+
+def test_sides_with_subnormal_area_raise():
+    # the area of these sides is about 3.6e-321, a subnormal float
+    with pytest.raises(DegenerateTriangle):
+        triangle_from_sides(1e-160, 1.2e-160, 1.5e-160)
+    ct = triangle_from_sides(1e-150, 1.2e-150, 1.5e-150)
+    assert ct.b / ct.a == pytest.approx(1.2, rel=1e-15)
