@@ -30,6 +30,7 @@ from isokit import (
 )
 from isokit import oracle
 from isokit.geo import _check_nondegenerate, signed_area
+from referee import longest_side, rigid_motion, triangle
 
 
 def _ccw_vertices(t: Triangle) -> list[tuple[float, float]]:
@@ -145,18 +146,13 @@ def _posed(rng: random.Random, tri: Triangle, factor: float = 1.0, mirror: bool 
     only so far that rounding at the offset keeps its height (1e13 heights)."""
     v = tri.vertices
     cx, cy = sum(p.x for p in v) / 3.0, sum(p.y for p in v) / 3.0
-    size = max(math.hypot(v[i].x - v[i - 1].x, v[i].y - v[i - 1].y) for i in range(3))
+    size = longest_side(tri)
     reach = min(1e8 * size, 2e13 * area(tri) / size)
     offset = 0.0 if rng.random() < 0.25 else reach * 10.0 ** -rng.uniform(0.0, 8.0)
     phi, theta = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
-    cp, sp = math.cos(phi), math.sin(phi)
-    ox, oy = offset * math.cos(theta), offset * math.sin(theta)
     sign = -1.0 if mirror else 1.0
-    out = []
-    for p in v:
-        x, y = factor * (p.x - cx), sign * factor * (p.y - cy)
-        out.append(Point(ox + cp * x - sp * y, oy + sp * x + cp * y))
-    return Triangle(*out)
+    centred = triangle((factor * (p.x - cx), sign * factor * (p.y - cy)) for p in v)
+    return rigid_motion(centred, phi, offset * math.cos(theta), offset * math.sin(theta))
 
 
 def seeded_pairs(seed: int, shapes: int) -> list[tuple[str, Triangle, Triangle]]:

@@ -26,6 +26,7 @@ from isokit import (
 )
 from isokit import containers
 from isokit.containers import _RAYS, _ROWS
+from referee import dist
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +44,6 @@ def acute():
 @pytest.fixture(scope="module")
 def batch():
     return sample_canonical_triangles(seed=7, count=300)
-
-
-def dist(p, q):
-    return math.hypot(p.x - q.x, p.y - q.y)
 
 
 class TestFirstKind:

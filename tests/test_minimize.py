@@ -5,13 +5,11 @@ import pytest
 
 from isokit import (
     BracketFailure,
-    GeometryError,
     InvalidRegime,
     InvalidSides,
     Kind,
     NotScalene,
     SELF_CONTAINER,
-    ShapeClass,
     all_special_containers,
     alpha_star,
     alpha_star_equation,
@@ -33,6 +31,7 @@ from isokit import (
     Triangle,
 )
 from isokit.minimize import _bisect
+from referee import exact_min_area_squared, exact_min_ratio_squared, rotated_needles, wide_probe, within
 
 SQRT2 = math.sqrt(2.0)
 PHI = 0.5 * (1.0 + math.sqrt(5.0))
@@ -300,27 +299,6 @@ class TestFirstKindRatio:
         assert all(v < PHI for v in vals)
 
 
-def exact_min_ratio_squared(ct) -> tuple[Fraction, str]:
-    """The squared minimum container ratio of `ct` and the label of the
-    container that attains it, in exact rational arithmetic on the float
-    vertices.  With a <= b <= c the candidate ratios are b/a (AB'C), c/b
-    (ABC') and (b^2 + c^2 - a^2)/c^2 (AB1C); the squared sides are exact
-    rationals in the coordinates, so every comparison is exact."""
-    pts = [(Fraction(p.x), Fraction(p.y)) for p in ct.tri.vertices]
-    a2, b2, c2 = sorted((x1 - x0) ** 2 + (y1 - y0) ** 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    candidates = {"AB'C": b2 / a2, "ABC'": c2 / b2, "AB1C": ((b2 + c2 - a2) / c2) ** 2}
-    label = min(candidates, key=candidates.get)
-    return candidates[label], label
-
-
-def exact_min_area_squared(ct) -> Fraction:
-    """The squared minimum container area of `ct`, exactly: the squared
-    minimum ratio times the squared shoelace area of the float vertices."""
-    (x0, y0), (x1, y1), (x2, y2) = ((Fraction(p.x), Fraction(p.y)) for p in ct.tri.vertices)
-    twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    return exact_min_ratio_squared(ct)[0] * twice_area**2 / 4
-
-
 EXACT_REFEREE_INPUTS = pytest.mark.parametrize(
     "cts",
     [
@@ -332,54 +310,6 @@ EXACT_REFEREE_INPUTS = pytest.mark.parametrize(
     ],
     ids=["default-seed-42", "fine-margins-seed-7", "needles"],
 )
-
-
-def rotated_needles(seed: int = 2001, count: int = 200) -> list:
-    """Scalene needles of circumdiameter 1: smallest angle log-uniform in
-    [1e-9, 1e-3], the middle one uniform in [0.01, 0.5] (so the two long
-    sides differ by more than ``eps_len``), turned by a uniform rotation
-    about the origin, which leaves no side on an axis."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    alphas = 10.0 ** rng.uniform(-9.0, -3.0, count)
-    betas = rng.uniform(0.01, 0.5, count)
-    thetas = rng.uniform(0.0, 2.0 * math.pi, count)
-    cts = []
-    for alpha, beta, theta in zip(alphas.tolist(), betas.tolist(), thetas.tolist()):
-        c, s = math.cos(theta), math.sin(theta)
-        tri = triangle_from_angles(alpha, beta).tri
-        cts.append(canonicalize(Triangle(*(Point(c * p.x - s * p.y, s * p.x + c * p.y) for p in tri.vertices))))
-    return cts
-
-
-def wide_probe(seed: int = 2002, count: int = 1000) -> list:
-    """Scalene inputs across the accepted domain: smallest angle
-    log-uniform in [1e-12, pi/3], the middle one uniform between it and the
-    largest, circumdiameter 10^U(-100, 100), a uniform rotation and an
-    offset in a uniform direction of 10^U(0, 12) circumdiameters.  Draws
-    that `canonicalize` rejects or finds not scalene are drawn again."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    cts = []
-    while len(cts) < count:
-        alpha = 10.0 ** rng.uniform(-12.0, math.log10(math.pi / 3.0))
-        beta = rng.uniform(alpha, 0.5 * (math.pi - alpha))
-        size = 10.0 ** rng.uniform(-100.0, 100.0)
-        offset = size * 10.0 ** rng.uniform(0.0, 12.0)
-        theta, phi = rng.uniform(0.0, 2.0 * math.pi, 2)
-        b, c = size * math.sin(beta), size * math.sin(alpha + beta)
-        cos, sin = math.cos(theta), math.sin(theta)
-        ox, oy = offset * math.cos(phi), offset * math.sin(phi)
-        pts = ((0.0, 0.0), (c, 0.0), (b * math.cos(alpha), b * math.sin(alpha)))
-        try:
-            ct = canonicalize(Triangle(*(Point(ox + cos * x - sin * y, oy + sin * x + cos * y) for x, y in pts)))
-        except GeometryError:
-            continue
-        if ct.shape_class is ShapeClass.SCALENE:
-            cts.append(ct)
-    return cts
 
 
 # relative bound of both areas on `rotated_needles`, 3.7 times the closed
@@ -414,25 +344,19 @@ class TestExactReferee:
         # the oracle's area within 2e-15 relative of the exact minimum;
         # measured on these 3002 inputs: at most 1.03e-15
         cts = cts()
-        lo, hi = (1 - Fraction(2e-15)) ** 2, (1 + Fraction(2e-15)) ** 2
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
-            exact = exact_min_area_squared(ct)
-            assert lo * exact <= Fraction(result.min_area) ** 2 <= hi * exact
+            assert within(result.min_area, exact_min_area_squared(ct), 2e-15)
 
     @POSED_AREA_INPUTS
     def test_closed_form_area_on_rotated_needles(self, cts, tol):
-        lo, hi = (1 - Fraction(tol)) ** 2, (1 + Fraction(tol)) ** 2
         for ct in cts():
-            exact = exact_min_area_squared(ct)
-            assert lo * exact <= Fraction(minimum_isosceles_container(ct).min_area) ** 2 <= hi * exact
+            assert within(minimum_isosceles_container(ct).min_area, exact_min_area_squared(ct), tol)
 
     @POSED_AREA_INPUTS
     def test_oracle_area_on_rotated_needles(self, cts, tol):
         cts = cts()
-        lo, hi = (1 - Fraction(tol)) ** 2, (1 + Fraction(tol)) ** 2
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
-            exact = exact_min_area_squared(ct)
-            assert lo * exact <= Fraction(result.min_area) ** 2 <= hi * exact
+            assert within(result.min_area, exact_min_area_squared(ct), tol)
 
 
 def test_batch_rows_are_single_calls():

@@ -36,10 +36,7 @@ from isokit._search import (
     _flush_axes,
     _unit_frame,
 )
-
-
-def dist(p, q):
-    return math.hypot(p.x - q.x, p.y - q.y)
+from referee import dist, longest_side, min_triangle_for_shape, rigid_motion, triangle
 
 
 def shape_of(tri: Triangle) -> tuple[float, float]:
@@ -62,9 +59,9 @@ def t345():
 
 class TestMinTriangleForShape:
     """The supporting-line construction the oracle's search builds each
-    container from, for one given shape (see `conftest`)."""
+    container from, for one given shape (see `referee`)."""
 
-    def test_equilateral_reproduces_itself(self, min_triangle_for_shape):
+    def test_equilateral_reproduces_itself(self):
         t = Triangle(Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2))
         # treat the top vertex as the apex
         sp = shape_of(Triangle(t.C, t.A, t.B))
@@ -74,7 +71,7 @@ class TestMinTriangleForShape:
         want = sorted((round(p.x, 9), round(p.y, 9)) for p in t.vertices)
         assert got == want
 
-    def test_abc_prime_shape_gives_75(self, t345, min_triangle_for_shape):
+    def test_abc_prime_shape_gives_75(self, t345):
         # the ABC' container is isosceles with apex A; feeding its shape back
         # through the supporting-line construction must reproduce area 7.5
         abc_prime = first_kind(t345)[1]
@@ -83,7 +80,7 @@ class TestMinTriangleForShape:
         out = min_triangle_for_shape(t345.tri, sp)
         assert area(out) == pytest.approx(7.5, rel=1e-9)
 
-    def test_sides_touch(self, t345, min_triangle_for_shape):
+    def test_sides_touch(self, t345):
         rng = np.random.default_rng(5)
         for _ in range(50):
             sp = (rng.uniform(0.1, math.pi - 0.1), rng.uniform(0, 2 * math.pi))
@@ -100,7 +97,7 @@ class TestMinTriangleForShape:
                 )
                 assert dmin <= 1e-9 * ln
 
-    def test_isosceles_output(self, t345, min_triangle_for_shape):
+    def test_isosceles_output(self, t345):
         sp = (1.0, 0.3)
         out = min_triangle_for_shape(t345.tri, sp)
         apex, b0, b1 = out.vertices
@@ -322,11 +319,7 @@ class TestCanCover:
 
     def test_congruent_after_motion(self):
         t = Triangle(Point(0, 0), Point(4, 0), Point(1, 3))
-        ang = 0.7
-        ca, sa = math.cos(ang), math.sin(ang)
-        moved = Triangle(
-            *(Point(p.x * ca - p.y * sa + 5, p.x * sa + p.y * ca - 2) for p in t.vertices)
-        )
+        moved = rigid_motion(t, 0.7, 5.0, -2.0)
         assert can_cover(moved, t)
         assert can_cover(t, moved)
 
@@ -515,8 +508,7 @@ def reference_witness_flags(ins, w, eps_geom=1e-7):
     (input vertex, half side) pair and the rays of every shared pair, for
     input vertices `ins` and witness vertices `w` given as (x, y) pairs;
     the oracle's `_witness_flags` must give the same booleans."""
-    scale = max(math.hypot(w[i][0] - w[(i + 1) % 3][0], w[i][1] - w[(i + 1) % 3][1]) for i in range(3))
-    eps = eps_geom * scale
+    eps = eps_geom * longest_side(triangle(w))
     mids = [((w[i][0] + w[(i + 1) % 3][0]) / 2.0, (w[i][1] + w[(i + 1) % 3][1]) / 2.0) for i in range(3)]
     halves = [half for i in range(3) for half in ((w[i], mids[i]), (mids[i], w[(i + 1) % 3]))]
     near = [[_seg_distance(p, *half) <= eps for half in halves] for p in ins]
@@ -598,7 +590,7 @@ class TestWitnessFlags:
         failed = set()
         for rep in verify_triangles(sample_canonical_triangles(seed=5, count=200)):
             ins, w = unit_copy(rep)
-            size = max(math.hypot(w[i][0] - w[i - 1][0], w[i][1] - w[i - 1][1]) for i in range(3))
+            size = longest_side(triangle(w))
             cx, cy = sum(x for x, _ in w) / 3.0, sum(y for _, y in w) / 3.0
             for _ in range(5):
                 step = size * 10.0 ** rng.uniform(-9.0, -5.0)
@@ -621,16 +613,5 @@ class TestWitnessFlags:
         unposed = [rep.flags for rep in verify_triangles(cts)]
         for offset in (0.0, 1e4, 1e8, 1e12):
             for theta in (0.3, 2.1):
-                c, s = math.cos(theta), math.sin(theta)
-                posed = [
-                    canonicalize(
-                        Triangle(
-                            *(
-                                Point(offset * ct.c + c * p.x - s * p.y, offset * ct.c + s * p.x + c * p.y)
-                                for p in ct.tri.vertices
-                            )
-                        )
-                    )
-                    for ct in cts
-                ]
+                posed = [canonicalize(rigid_motion(ct.tri, theta, offset * ct.c, offset * ct.c)) for ct in cts]
                 assert [rep.flags for rep in verify_triangles(posed)] == unposed

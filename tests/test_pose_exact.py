@@ -12,33 +12,19 @@ import math
 import pytest
 
 from isokit import (
-    Point,
-    Triangle,
     can_cover,
     canonicalize,
     minimum_isosceles_container,
     t_star,
     verify_triangle,
 )
-
-
-def _triangle(*coords):
-    return Triangle(*(Point(float(x), float(y)) for x, y in coords))
-
-
-def _side_ratio_minimum(tri):
-    """min(b/a, c/b, 2b cos(alpha)/c) from the side lengths a <= b <= c."""
-    v = tri.vertices
-    a, b, c = sorted(math.hypot(v[i].x - v[i - 1].x, v[i].y - v[i - 1].y) for i in range(3))
-    cos_alpha = (b * b + c * c - a * a) / (2.0 * b * c)
-    return min(b / a, c / b, 2.0 * b * cos_alpha / c)
+from referee import exact_min_ratio_squared, rigid_motion, triangle, within
 
 
 def test_t_star_far_away_keeps_three_minimizers():
     # the three side ratios of T* agree to 4e-10 at this pose, inside eps_tie
     ts = t_star()
-    dx, dy = 1e8 * math.cos(1.1), 1e8 * math.sin(1.1)
-    moved = Triangle(*(Point(p.x + dx, p.y + dy) for p in ts.tri.vertices))
+    moved = rigid_motion(ts.tri, 0.0, 1e8 * math.cos(1.1), 1e8 * math.sin(1.1))
     res = minimum_isosceles_container(canonicalize(moved))
     assert sorted(m.label for m in res.minimizers) == sorted(["AB'C", "ABC'", "AB1C"])
 
@@ -65,9 +51,11 @@ def test_t_star_far_away_keeps_three_minimizers():
     ],
 )
 def test_far_posed_closed_form_ratio(coords):
-    tri = _triangle(*coords)
-    res = minimum_isosceles_container(canonicalize(tri))
-    assert res.min_ratio == pytest.approx(_side_ratio_minimum(tri), rel=1e-12, abs=0.0)
+    ct = canonicalize(triangle(coords))
+    res = minimum_isosceles_container(ct)
+    exact, label = exact_min_ratio_squared(ct)
+    assert within(res.min_ratio, exact, 1e-12)
+    assert label in {m.label for m in res.minimizers}
 
 
 @pytest.mark.parametrize(
@@ -91,7 +79,7 @@ def test_far_posed_closed_form_ratio(coords):
     ],
 )
 def test_far_posed_oracle_matches_closed_form(coords):
-    rep = verify_triangle(canonicalize(_triangle(*coords)))
+    rep = verify_triangle(canonicalize(triangle(coords)))
     assert abs(rep.relative_gap) <= 1e-11
 
 
@@ -102,10 +90,12 @@ def test_far_posed_minimizer_covers_input():
     # input by construction, but its vertex, rounded at the offset, misses
     # can_cover's 1e-9 relative slack
     ct = canonicalize(
-        _triangle(
-            ("-38212.96552254361", "38526.798090910714"),
-            ("-38212.964850698816", "38526.79835648102"),
-            ("-38212.96487399427", "38526.79841996756"),
+        triangle(
+            [
+                ("-38212.96552254361", "38526.798090910714"),
+                ("-38212.964850698816", "38526.79835648102"),
+                ("-38212.96487399427", "38526.79841996756"),
+            ]
         )
     )
     (minimizer,) = minimum_isosceles_container(ct).minimizers
