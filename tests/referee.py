@@ -107,6 +107,25 @@ def wide_probe(seed: int = 2002, count: int = 1000) -> list:
     return cts
 
 
+def obtuse_needles(seed: int = 1, count: int = 1000) -> list:
+    """Scalene needles with two tiny angles, so the largest is near pi:
+    smallest angle 10^U(-9, -1) and the middle one 1 + 10^U(-8, 0) times
+    it, at circumdiameter 1.  Draws that raise `GeometryError` or are not
+    scalene are drawn again."""
+    rng = np.random.default_rng(seed)
+    cts = []
+    while len(cts) < count:
+        alpha = 10.0 ** rng.uniform(-9.0, -1.0)
+        beta = alpha * (1.0 + 10.0 ** rng.uniform(-8.0, 0.0))
+        try:
+            ct = triangle_from_angles(alpha, beta)
+        except GeometryError:
+            continue
+        if ct.shape_class is ShapeClass.SCALENE:
+            cts.append(ct)
+    return cts
+
+
 def min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle:
     """Smallest isosceles triangle of shape `shape` = (apex angle, rotation)
     containing `t`: the one bounded by the supporting lines of `t` at the

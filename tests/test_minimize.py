@@ -31,7 +31,15 @@ from isokit import (
     Triangle,
 )
 from isokit.minimize import _bisect
-from referee import exact_min_area_squared, exact_min_ratio_squared, rotated_needles, wide_probe, within
+from referee import (
+    exact_min_area_squared,
+    exact_min_ratio_squared,
+    obtuse_needles,
+    rotated_needles,
+    triangle,
+    wide_probe,
+    within,
+)
 
 SQRT2 = math.sqrt(2.0)
 PHI = 0.5 * (1.0 + math.sqrt(5.0))
@@ -321,15 +329,32 @@ ROTATED_NEEDLE_AREA_TOL = 1e-14
 # there (2.4e-15, closed form and oracle alike), and 3.8 times the worst
 # of the same draw on seeds 3, 7 and 11 (5.3e-15)
 WIDE_PROBE_AREA_TOL = 2e-14
+# relative bound of both areas on `obtuse_needles`: 30 times the closed
+# form's worst measured there (3.3e-16), and 7 times the worst gap of a
+# prototype oracle that carries each half apex angle with its half
+# supplement (1.4e-15 on 19,982 draws of the same recipe)
+OBTUSE_NEEDLE_AREA_TOL = 1e-14
 
-POSED_AREA_INPUTS = pytest.mark.parametrize(
-    "cts, tol",
-    [(rotated_needles, ROTATED_NEEDLE_AREA_TOL), (wide_probe, WIDE_PROBE_AREA_TOL)],
-    ids=["rotated-needles", "wide-probe"],
+POSED_AREAS = [
+    pytest.param(rotated_needles, ROTATED_NEEDLE_AREA_TOL, id="rotated-needles"),
+    pytest.param(wide_probe, WIDE_PROBE_AREA_TOL, id="wide-probe"),
+]
+OBTUSE_NEEDLE_AREAS = (obtuse_needles, OBTUSE_NEEDLE_AREA_TOL)
+# ROADMAP item 17: the oracle's apex angle near pi carries an absolute error
+# of about 2e-16, which its area inherits divided by pi minus that angle;
+# measured worst 2.65e-8, with 65 of the 1000 inputs beyond verify's 1e-11
+ORACLE_MISSES_OBTUSE_NEEDLES = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 17: the oracle misses the minimum on obtuse needles"
 )
 
 
 class TestExactReferee:
+    def test_referee_on_exact_input(self):
+        # the 3-4-5 right triangle: ABC' wins with ratio c/b = 5/4, area 7.5
+        ct = canonicalize(triangle(((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))))
+        assert exact_min_ratio_squared(ct) == (Fraction(25, 16), "ABC'")
+        assert exact_min_area_squared(ct) == Fraction(225, 4)
+
     @EXACT_REFEREE_INPUTS
     def test_closed_form_matches_exact_minimum(self, cts):
         # measured on these 3002 inputs: at most 5.5e-16 relative
@@ -347,12 +372,15 @@ class TestExactReferee:
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
             assert within(result.min_area, exact_min_area_squared(ct), 2e-15)
 
-    @POSED_AREA_INPUTS
+    @pytest.mark.parametrize("cts, tol", [*POSED_AREAS, pytest.param(*OBTUSE_NEEDLE_AREAS, id="obtuse-needles")])
     def test_closed_form_area_on_rotated_needles(self, cts, tol):
         for ct in cts():
             assert within(minimum_isosceles_container(ct).min_area, exact_min_area_squared(ct), tol)
 
-    @POSED_AREA_INPUTS
+    @pytest.mark.parametrize(
+        "cts, tol",
+        [*POSED_AREAS, pytest.param(*OBTUSE_NEEDLE_AREAS, id="obtuse-needles", marks=ORACLE_MISSES_OBTUSE_NEEDLES)],
+    )
     def test_oracle_area_on_rotated_needles(self, cts, tol):
         cts = cts()
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
