@@ -17,6 +17,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 
@@ -42,7 +44,6 @@ from .sampling import (
     triangle_from_angles,
     triangle_from_sides,
 )
-from .svg import render_containers
 
 __all__ = ["main", "build_parser"]
 
@@ -197,8 +198,21 @@ def _resolve_triangle(args: argparse.Namespace) -> CanonicalTriangle:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `text` to `path` as UTF-8 over the old bytes, then cut a regular
+    file to the new length (a device such as /dev/null cannot be cut).
+    Unlike ``open(path, "w")`` this does not empty the file first, which
+    frees its blocks: on ext4 a journaled operation that costs more than the
+    write.  Not atomic, as mode "w" is not."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _triangle_line(t: dict) -> str:
@@ -358,6 +372,8 @@ def cmd_extremal(args: argparse.Namespace) -> Outcome:
 
 def cmd_svg(args: argparse.Namespace) -> Outcome:
     """Writes the figure to --out itself; it has no JSON report."""
+    from .svg import render_containers  # only this command draws
+
     ct = _resolve_triangle(args)
     if ct.shape_class is not ShapeClass.SCALENE:
         raise ValueError("svg needs a scalene triangle (isosceles input is its own container)")

@@ -493,6 +493,68 @@ class TestSvg:
         assert code == 2
 
 
+class TestOutPath:
+    # --out writes over the old bytes and cuts a regular file to length
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["verify", "--samples", "50"], ["verify", "--samples", "5", "--seed", "42"]),
+            (["svg", "--sides", "3,4,5", "--which", "all"], ["svg", "--sides", "3,4,5", "--which", "first"]),
+        ],
+        ids=["verify", "svg"],
+    )
+    def test_shorter_output_over_longer_file(self, capsys, tmp_path, first, second):
+        over, fresh = tmp_path / "over", tmp_path / "fresh"
+        run(capsys, *first, "--out", str(over))
+        old_size = over.stat().st_size
+        run(capsys, *second, "--out", str(over))
+        run(capsys, *second, "--out", str(fresh))
+        assert fresh.stat().st_size < old_size
+        assert over.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "2"],
+            ["min", "--sides", "3,4,5"],
+            ["containers", "--sides", "3,4,5"],
+            ["extremal", "alpha_star"],
+            ["svg", "--sides", "3,4,5"],
+        ],
+        ids=["verify", "min", "containers", "extremal", "svg"],
+    )
+    def test_dev_null(self, capsys, argv):
+        # a device is written and not cut: ftruncate on it fails
+        code, _, err = run(capsys, *argv, "--out", os.devnull)
+        assert (code, err) == (0, "")
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        old = os.umask(0o027)
+        try:
+            run(capsys, "min", "--sides", "3,4,5", "--out", str(path))
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_overwrite_keeps_inode_and_mode(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("x" * 100_000)
+        path.chmod(0o640)
+        before = path.stat()
+        code, _, _ = run(capsys, "verify", "--samples", "3", "--out", str(path))
+        after = path.stat()
+        assert code == 0
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert json.loads(path.read_bytes())["samples"] == 3
+
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "2"], ["svg", "--sides", "3,4,5"]], ids=["verify", "svg"])
+    def test_directory_is_io_error(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("i/o error: ")
+
+
 def test_option_list():
     # every option string of every subcommand: a new flag shows up here
     common = {"-h", "--help", "--out"}

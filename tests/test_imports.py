@@ -46,6 +46,17 @@ check("import isokit.cli")
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_svg_unloaded():
+    # only the svg command draws, so it imports the renderer itself
+    proc = run_fresh(
+        """
+import isokit.cli
+assert "isokit.svg" not in sys.modules
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_closed_form_calls_leave_numpy_unloaded():
     proc = run_fresh(
         """

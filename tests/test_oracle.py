@@ -107,7 +107,7 @@ class TestMinTriangleForShape:
 class TestBruteForce:
     def test_345(self, t345):
         res = brute_force_min_isosceles(t345.tri)
-        assert res.min_area == pytest.approx(7.5, rel=1e-4)
+        assert res.min_area == pytest.approx(7.5, rel=1e-11)
         assert contains_triangle(res.witness, t345.tri)
 
     def test_equilateral(self):
@@ -124,7 +124,7 @@ class TestBruteForce:
         closed = minimum_isosceles_container(ts)
         res = brute_force_min_isosceles(ts.tri)
         for cand in closed.candidates:
-            assert res.min_area == pytest.approx(cand.area, rel=1e-4)
+            assert res.min_area == pytest.approx(cand.area, rel=1e-11)
 
     def test_witness_isosceles(self, t345):
         res = brute_force_min_isosceles(t345.tri)
@@ -214,7 +214,7 @@ class TestBruteForce:
         assert abs(ct.gamma - 0.5 * math.pi) <= 1e-12 or ct.gamma > 0.6 * math.pi
         candidates = np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma)]))
         assert np.all((candidates > 0.0) & (candidates < math.pi))
-        assert abs(verify_triangle(ct).relative_gap) <= 1e-9
+        assert abs(verify_triangle(ct).relative_gap) <= 1e-11
 
     def test_candidates_match_polynomial_roots(self):
         # the closed-form roots against numpy's companion-matrix eigenvalues,
@@ -281,7 +281,7 @@ class TestBruteForce:
             closed = minimum_isosceles_container(ct)
             res = brute_force_min_isosceles(ct.tri)
             gap = (res.min_area - closed.min_area) / closed.min_area
-            assert abs(gap) <= 1e-9
+            assert abs(gap) <= 1e-11
 
 
 class TestCanCover:
@@ -363,14 +363,14 @@ class TestConcurrency:
 class TestVerifyTriangle:
     def test_345(self, t345):
         rep = verify_triangle(t345)
-        assert rep.relative_gap <= 1e-3
-        assert rep.relative_gap >= -1e-9
+        assert rep.relative_gap <= 1e-11
+        assert rep.relative_gap >= -1e-11
         assert all(rep.flags.values()), rep.flags
         assert rep.min_result.min_area == pytest.approx(7.5, rel=1e-12)
 
     def test_t_star(self):
         rep = verify_triangle(t_star())
-        assert abs(rep.relative_gap) <= 1e-3
+        assert abs(rep.relative_gap) <= 1e-11
 
     def test_not_scalene(self):
         with pytest.raises(NotScalene):
@@ -379,7 +379,7 @@ class TestVerifyTriangle:
     def test_batch(self):
         for ct in sample_canonical_triangles(seed=29, count=25):
             rep = verify_triangle(ct)
-            assert abs(rep.relative_gap) <= 1e-9
+            assert abs(rep.relative_gap) <= 1e-11
             assert all(rep.flags.values()), rep.flags
 
 
