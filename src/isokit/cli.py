@@ -49,6 +49,7 @@ __all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = 2
 SQRT2 = math.sqrt(2.0)
+GAP_TOL = 1e-11  # a `verify` case passes when |relative gap| <= GAP_TOL
 PHI = 0.5 * (1.0 + math.sqrt(5.0))
 
 EXIT_OK = 0
@@ -263,8 +264,6 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if math.isnan(args.gap_tol):
-        raise ValueError("--gap-tol must be a number, got nan")
     triangles = sample_canonical_triangles(
         args.seed, args.samples, math.radians(args.min_angle), math.radians(args.scalene_margin)
     )
@@ -286,15 +285,15 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         cases=[verify_case_report(r) for r in reports],
     )
     report["pass"] = ok = (
-        report["max_relative_gap"] <= args.gap_tol
-        and report["min_relative_gap"] >= -1e-11
+        report["max_relative_gap"] <= GAP_TOL
+        and report["min_relative_gap"] >= -GAP_TOL
         and all(rate == 1.0 for rate in rates.values())
         and report["max_min_ratio"] < SQRT2 - 1e-9
     )
     rate_text = " ".join(f"{name}={100.0 * rate:.1f}%" for name, rate in rates.items())
     lines = [
         f"verify: samples={report['samples']} seed={report['seed']}",
-        f"max relative gap = {_fmt(report['max_relative_gap'])} (tolerance {_fmt(args.gap_tol)})",
+        f"max relative gap = {_fmt(report['max_relative_gap'])} (tolerance {_fmt(GAP_TOL)})",
         f"min relative gap = {_fmt(report['min_relative_gap'])}",
         f"invariant pass rates: {rate_text}",
         f"max min-ratio = {_fmt(report['max_min_ratio'])} (sqrt2 = {_fmt(SQRT2)})",
@@ -424,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--min-angle", type=float, default=math.degrees(DEFAULT_MIN_ANGLE), help="sampling: minimum angle in degrees (default 5)")
     p.add_argument("--scalene-margin", type=float, default=math.degrees(DEFAULT_SCALENE_MARGIN), help="sampling: pairwise angle margin in degrees (default 1)")
-    p.add_argument("--gap-tol", type=float, default=1e-11, help="max allowed relative gap (default 1e-11)")
 
     commands["extremal"].add_argument("mode", choices=list(_EXTREMAL_MODES))
     commands["svg"].add_argument("--which", default="all", choices=["all", "first", "second", "third", "min"], help="container selector (default all)")

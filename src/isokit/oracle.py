@@ -197,22 +197,18 @@ def _ccw_sides_area(t: Triangle) -> tuple[tuple[float, ...], float, float, float
     )
 
 
-def _side_frame(pts: tuple[float, ...], i: int) -> tuple[float, ...]:
-    """Rotate+translate the flat coordinates `pts` so that side i runs from
-    the origin along +x; for CCW input the interior lands in the upper
-    half-plane."""
+def _side_frame(pts: tuple[float, ...], i: int, ln: float) -> tuple[float, float, float, float]:
+    """Rotate+translate the flat coordinates `pts` so that side i, of length
+    `ln`, runs from the origin along +x, and list them from that side's
+    first vertex on: it lands on exactly (0, 0), so only the next two come
+    back, as (x1, y1, x2, y2).  For CCW input the interior lands in the
+    upper half-plane."""
     x0, y0 = pts[2 * i], pts[2 * i + 1]
-    j = 2 * i + 2 if i < 2 else 0
+    j, k = (2 * i + 2) % 6, (2 * i + 4) % 6
     ex, ey = pts[j] - x0, pts[j + 1] - y0
-    ln = math.hypot(ex, ey)
+    dx, dy = pts[k] - x0, pts[k + 1] - y0
     cx, sx = ex / ln, ey / ln
-    xa, ya, xb, yb, xc, yc = pts
-    dxa, dya, dxb, dyb, dxc, dyc = xa - x0, ya - y0, xb - x0, yb - y0, xc - x0, yc - y0
-    return (
-        dxa * cx + dya * sx, -dxa * sx + dya * cx,
-        dxb * cx + dyb * sx, -dxb * sx + dyb * cx,
-        dxc * cx + dyc * sx, -dxc * sx + dyc * cx,
-    )
+    return ex * cx + ey * sx, -ex * sx + ey * cx, dx * cx + dy * sx, -dx * sx + dy * cx
 
 
 def can_cover(mover: Triangle, target: Triangle) -> bool:
@@ -260,28 +256,33 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
 
     # A target vertex q is inside (left of) mover edge k, from (xk, yk)
     # along (ex, ey), for slide u when cr + u*ey >= -slack, with
-    # cr = ex*(qy - yk) - ey*(qx - xk).  Each edge with ey beyond +-tiny
-    # bounds the slides from one side; a flat edge admits all or none.
+    # cr = ex*(qy - yk) - ey*(qx - xk).  On the edge along the shared line
+    # ey and cr are rounding, far inside tiny and the slack, so it never
+    # decides and only the other two edges are tried.  Each edge with ey
+    # beyond +-tiny bounds the slides from one side; a flat edge admits all
+    # or none.  tiny keeps a needle mover's long edges flat: their exact
+    # bound, widened by the slack, would admit more covers (ROADMAP item 3).
     neg_slack = -slack
     # each target frame is built when a configuration first reaches it, and
     # the mirror image only once the unmirrored mover has failed
     target_frames: list = [None, None, None]
-    mv = mover_ccw
+    mv, lengths = mover_ccw, (m0, m1, m2)
     for mirrored in (False, True):
         if mirrored:
             x0, y0, x1, y1, x2, y2 = mover_ccw
-            mv = (x2, -y2, x1, -y1, x0, -y0)  # counter-clockwise too
+            mv, lengths = (x2, -y2, x1, -y1, x0, -y0), (m1, m0, m2)  # counter-clockwise too
         for i in range(3):
-            a0, b0, a1, b1, a2, b2 = _side_frame(mv, i)
-            edges = ((a0, b0, a1 - a0, b1 - b0), (a1, b1, a2 - a1, b2 - b1), (a2, b2, a0 - a2, b0 - b2))
+            p1, q1, p2, q2 = _side_frame(mv, i, lengths[i])
+            edges = ((p1, q1, p2 - p1, q2 - q1), (p2, q2, -p2, -q2))
             for j in range(3):
                 tgt = target_frames[j]
                 if tgt is None:
-                    tgt = target_frames[j] = _side_frame(target_ccw, j)
-                u0, v0, u1, v1, u2, v2 = tgt
+                    tgt = target_frames[j] = _side_frame(target_ccw, j, (t0, t1, t2)[j])
+                u1, v1, u2, v2 = tgt
                 lo, hi = -math.inf, math.inf
                 for xk, yk, ex, ey in edges:
-                    c0 = ex * (v0 - yk) - ey * (u0 - xk)
+                    # the target's first vertex is the origin
+                    c0 = ey * xk - ex * yk
                     c1 = ex * (v1 - yk) - ey * (u1 - xk)
                     c2 = ex * (v2 - yk) - ey * (u2 - xk)
                     if ey > tiny:
@@ -290,11 +291,9 @@ def can_cover(mover: Triangle, target: Triangle) -> bool:
                         hi = min(hi, (neg_slack - c0) / ey, (neg_slack - c1) / ey, (neg_slack - c2) / ey)
                     elif c0 < neg_slack or c1 < neg_slack or c2 < neg_slack:
                         break  # no slide helps
-                    # lo only rises and hi only falls, so an empty interval stays empty
-                    if lo > hi + eps_u:
-                        break
                 else:
-                    return True
+                    if lo <= hi + eps_u:
+                        return True
     return False
 
 

@@ -1,11 +1,11 @@
 """`can_cover` against the slide-only decision it replaced.
 
 `reference_can_cover` is the covering decision as it stood before the area
-bound, the early exit on an empty slide interval and the shared target
-frames: all 2 x 3 x 3 (mirror, mover side, target side) configurations,
-each decided to the end.  The rewrite must return the same boolean on every
-pair, in both directions, and the area bound must reject only pairs that the
-reference rejects too.
+bound, the shared target frames and the placements decided on the mover's
+two free sides: all 2 x 3 x 3 (mirror, mover side, target side)
+configurations, each decided to the end on all three mover sides.  The
+rewrite must return the same boolean on every pair, in both directions, and
+the area bound must reject only pairs that the reference rejects too.
 """
 
 import math
@@ -16,6 +16,7 @@ import pytest
 
 from isokit import (
     DEFAULT_TOLERANCES,
+    DegenerateTriangle,
     Point,
     ShapeClass,
     Tolerances,
@@ -200,6 +201,43 @@ def test_same_answers_as_reference(pairs):
     assert {("scaled", True), ("scaled", False), ("special", True), ("special", False)} <= outcomes
 
 
+def needle_mover_pairs(seed: int, count: int) -> list[tuple[Triangle, Triangle]]:
+    """(mover, target) pairs: needles with a longest side log-uniform in
+    [1e-6, 1e-3] and a height of 1e-12 to 1e-6 times it, against unit
+    targets of aspect 1e-3 to 0.5, each turned at random about the origin.
+    Draws that `can_cover` would reject as degenerate are skipped."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        size = 10.0 ** rng.uniform(-6.0, -3.0)
+        height = size * 10.0 ** rng.uniform(-12.0, -6.0)
+        mover = triangle([(0.0, 0.0), (size, 0.0), (rng.uniform(0.0, size), height)])
+        target = triangle([(0.0, 0.0), (1.0, 0.0), (rng.random(), 10.0 ** rng.uniform(-3.0, -0.3))])
+        mover = rigid_motion(mover, rng.uniform(0.0, math.tau))
+        try:
+            _check_nondegenerate(mover)
+        except DegenerateTriangle:
+            continue
+        pairs.append((mover, rigid_motion(target, rng.uniform(0.0, math.tau))))
+    return pairs
+
+
+def test_needle_movers_same_answers_as_reference():
+    # a mover whose height is below tiny = 1e-15 * scale has flat free
+    # sides when its base lies on the shared line, so these pairs reach the
+    # flat-side branch that no other test does
+    pairs = needle_mover_pairs(seed=11, count=1000)
+    flat = sum(2.0 * area(a) / longest_side(a) < 1e-15 * max(longest_side(a), longest_side(b)) for a, b in pairs)
+    assert flat >= 100
+    outcomes = set()
+    for a, b in pairs:
+        for mover, target in ((a, b), (b, a)):
+            expected = reference_can_cover(mover, target)
+            assert can_cover(mover, target) is expected, (mover, target)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 @pytest.fixture
 def frame_calls(monkeypatch):
     """The (vertex list, side) of every `oracle._side_frame` call, the list
@@ -207,9 +245,9 @@ def frame_calls(monkeypatch):
     calls = []
     frame = oracle._side_frame
 
-    def counted(pts, i):
+    def counted(pts, i, ln):
         calls.append((id(pts), i))
-        return frame(pts, i)
+        return frame(pts, i, ln)
 
     monkeypatch.setattr(oracle, "_side_frame", counted)
     return calls
@@ -260,3 +298,15 @@ def test_needle_minimizer_does_not_fit_inside_input():
     (minimizer,) = minimum_isosceles_container(ct).minimizers
     assert area(minimizer.tri) > (1.0 + 3e-5) * area(ct.tri)
     assert not can_cover(ct.tri, minimizer.tri)
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-12])
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 3): can_cover's slack is taken from the longest side")
+def test_shrunk_copy_does_not_cover_original(k):
+    # the slack, eps_num times the target's squared longest side, swamps a
+    # mover a billion times smaller (at k = 1e-8 the answer is still False),
+    # and the area bound does not fire: at k = 1e-9 lam is about 1.25e10,
+    # so lam**2 times the mover's area is about 940 against T's 6
+    t = triangle_from_sides(3.0, 4.0, 5.0).tri
+    shrunk = triangle((k * p.x, k * p.y) for p in t.vertices)
+    assert not can_cover(shrunk, t)

@@ -372,13 +372,14 @@ class TestVerify:
         assert code == 1
         assert out.endswith("FAIL\n")
 
-    def test_violation_exits_1(self, capsys, tmp_path):
-        # the relative gap (oracle - closed) / closed exceeds -1 for every
-        # positive oracle area, so no sample meets a gap tolerance of -1
+    def test_violation_exits_1(self, capsys, tmp_path, monkeypatch):
+        # one case of three just beyond the bound fails the run and its report
+        def with_gaps(cts):
+            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts), [0.0, -1e-13, 2e-11])]
+
+        monkeypatch.setattr(cli, "verify_triangles", with_gaps)
         path = tmp_path / "cases.json"
-        code, out, _ = run(
-            capsys, "verify", "--samples", "3", "--seed", "1", "--gap-tol", "-1", "--out", str(path)
-        )
+        code, out, _ = run(capsys, "verify", "--samples", "3", "--seed", "1", "--out", str(path))
         assert code == 1
         assert out.endswith("FAIL\n")
         assert json.loads(path.read_text())["pass"] is False
@@ -563,7 +564,7 @@ def test_option_list():
         "containers": common | triangle,
         "min": common | triangle,
         "svg": common | triangle | {"--which"},
-        "verify": common | {"--samples", "--seed", "--min-angle", "--scalene-margin", "--gap-tol"},
+        "verify": common | {"--samples", "--seed", "--min-angle", "--scalene-margin"},
         "extremal": common,
     }
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices

@@ -66,7 +66,6 @@ CASES = (
         ["min", "--angles", "50,60", "--scale", "-2"],
         ["verify", "--samples", "0"],
         ["verify", "--samples", "1", "--min-angle", "60"],
-        ["verify", "--gap-tol", "nan"],
         ["min", "--json", "bad.json"],
         ["min", "--json", "empty.json"],
         # exit 3: I/O error

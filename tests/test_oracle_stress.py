@@ -31,8 +31,8 @@ from referee import (
     within,
 )
 
-# `isokit verify`'s default --gap-tol; the largest |gap| measured on the
-# inputs below is 9.8e-16, on a sampler row
+# `isokit verify`'s bound on |gap|, `cli.GAP_TOL`; the largest |gap|
+# measured on the inputs below is 9.8e-16, on a sampler row
 GAP_TOL = 1e-11
 # right triangle with legs 4 and 3 on the axes; its minimum container ABC'
 # has area 7.5 and integer vertices, so offsets up to 1e8 stay exact
