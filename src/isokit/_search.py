@@ -63,12 +63,13 @@ _NORMAL_SIGNS = np.array(((1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)))[:, None, :]
 def _unit_frame(
     cts: Sequence[CanonicalTriangle], rows: Sequence[Sequence[float]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each of `cts` and its row of `rows` (candidate apex angles, the
-    same number per row): the coordinates (2, N, 1, 1) of the vertex C of
-    its unit copy, the x and y components (2, N, 3) of the copy's sides'
+    """For each of `cts` and its row of `rows` (candidates t = tan(delta/2),
+    the same number per row): the coordinates (2, N, 1, 1) of the vertex C
+    of its unit copy, the x and y components (2, N, 3) of the copy's sides'
     unit outward normals, and the sines and cosines (2, N, M) of the halves
-    of the row's apex angles.  All come from one sine and one cosine pass
-    over the rows (0, beta, alpha, half apex angles): sin 0 = 0 and
+    of the row's apex angles, t / r and 1 / r with r = hypot(1, t), which
+    keep their last bits at both ends of (0, pi).  The rest come from one
+    sine and one cosine pass over the rows (0, beta, alpha): sin 0 = 0 and
     cos 0 = 1 exactly, and the signs are exact flips.
 
     The copy is the one `canonicalize` defines: the longest side AB from
@@ -79,19 +80,19 @@ def _unit_frame(
     the input give the same copy bit for bit, and a needle's support values
     do not cancel at any rotation.
     """
-    table = np.array([[0.0, ct.beta, ct.alpha, *row] for ct, row in zip(cts, rows)])
-    table[:, 3:] *= 0.5
+    table = np.array([(0.0, ct.beta, ct.alpha) for ct in cts])
     trig = np.empty((2,) + table.shape)
     np.sin(table, out=trig[0])
     np.cos(table, out=trig[1])
     cxy = trig[::-1, :, 2] * np.array([ct.b / ct.c for ct in cts])
-    return cxy[:, :, None, None], trig[:, :, :3] * _NORMAL_SIGNS, trig[:, :, 3:]
+    t = np.array(rows)
+    r = np.hypot(t, 1.0)
+    return cxy[:, :, None, None], trig * _NORMAL_SIGNS, np.array((t / r, 1.0 / r))
 
 
-def _stationary_apex_angles(a: float) -> list[float]:
-    """The apex angles in (0, pi) at which the two leg-flush families of an
-    input angle `a` can be stationary (see `_candidate_rows`)."""
-    k = 1.0 / math.tan(a)
+def _stationary_tans(k: float) -> list[float]:
+    """The t = tan(delta/2) > 0 at which the two leg-flush families of an
+    input angle with cotangent `k` can be stationary (see `_candidate_rows`)."""
     # the roots of t^3 - k t^2 + 3t + k change sign with k, so solve for
     # kk = |k| >= 0 and flip them back
     kk = abs(k)
@@ -125,67 +126,66 @@ def _stationary_apex_angles(a: float) -> list[float]:
             ts.append(t - (((t - kk) * t + 3.0) * t + kk) / df if df else t)
     else:
         ts = [r, 0.5 * (kk - r)]  # the complex pair by its real part: the roots sum to kk
-    # the apex angles in (0, pi): 2 atan(t) of the roots flipped back, which
-    # is positive exactly where t is, then the quartic's roots, which solve
-    # sin(2 delta + a) = 3 sin(a); past its double root at 3 sin(a) = 1 both
-    # become the double root's apex angle
-    deltas = []
-    for t in ts:
-        delta = 2.0 * math.atan(-t if k < 0.0 else t)
-        if 0.0 < delta < math.pi:
-            deltas.append(delta)
-    phi = math.asin(min(1.0, 3.0 * math.sin(a)))
-    for delta in (0.5 * ((phi - a) % math.tau), 0.5 * ((math.pi - phi - a) % math.tau)):
-        if 0.0 < delta < math.pi:
-            deltas.append(delta)
-    return deltas
+    tans = [t for t in ts if t > 0.0] if k >= 0.0 else [-t for t in ts if t < 0.0]
+    # the quartic's roots: it is w^2 + 2k w + 8 = 0 in w = t - 1/t, whose
+    # roots have the sign of -k and product 8, and past its double root at
+    # k^2 = 8 both become the double root's -k.  Each w is t - 1/t of one
+    # t > 0: u = (|w| + sqrt(w^2 + 4))/2 where w >= 0 (k <= 0), else 1/u
+    s = kk2 - 8.0
+    m = kk + math.sqrt(s) if s > 0.0 else kk  # the larger |w|
+    for m in (m, 8.0 / m if s > 0.0 else m):
+        u = 0.5 * (m + math.sqrt(m * m + 4.0))
+        tans.append(1.0 / u if k > 0.0 else u)
+    return tans
 
 
-def _candidate_rows(angles: Sequence[Sequence[float]]) -> list[list[float]]:
-    """Every apex angle at which a flush container's area, as a function of
-    the apex angle, can have a local minimum, for triangles with the rows of
-    interior angles `angles`; one list per row, all of one length.
+def _candidate_rows(angles: Sequence[tuple[float, float]]) -> list[list[float]]:
+    """Every t = tan(delta/2) at which a flush container's area, as a
+    function of the apex angle delta, can have a local minimum, for
+    triangles with the rows of smallest interior angles (alpha, beta) in
+    `angles`; one list per row, all of one length.
 
     With one container side on the line of an input side PQ, the other two
     sides each pass through P, Q or the third vertex R.  Which one changes
     only where the container's angle at P or Q equals the input's there,
-    that is at an apex angle A or pi - 2A for an input angle A: the kinks.
-    Between kinks the area is smooth.  With the base flush it is monotone in
-    t = tan(delta/2), or convex with its least value on a kink.  With a leg
-    flush, and k = cot A for the input angle A at P:
+    that is at an apex angle A or pi - 2A for an input angle A: the kinks,
+    at t = tan(A/2) and t = cot A.  Between kinks the area is smooth.  With
+    the base flush it is monotone in t, or convex with its least value on a
+    kink.  With a leg flush, and k = cot A for the input angle A at P:
       - apex on P, base through R: area ~ (k + t)^2 t / (1 + t^2), stationary
         where t^3 - k t^2 + 3t + k = 0;
       - base vertex on P, other leg through R: stationary where
         t^4 + 2k t^3 + 6t^2 - 2k t + 1 = 0, that is sin(2 delta + A) = 3 sin A;
-      - both free sides through R: area ~ 1/sin(delta), least at pi/2;
+      - both free sides through R: area ~ 1/sin(delta), least at pi/2, t = 1;
       - free sides through P and Q: area ~ sin(delta), least on a kink.
     The cubic's roots come from the trigonometric or Cardano formula, the
-    real ones polished by one Newton step, and the quartic's from arcsin.
+    real ones polished by one Newton step, and the quartic's in radicals.
     Extra candidates are harmless (each is a valid container), so none is
     lost where rounding turns a double root into a complex pair: the cubic
-    keeps the pair's real part, and the quartic clamps 3 sin A at 1.
+    keeps the pair's real part, and the quartic its double root.
 
-    Each row lists the input angles, their kinks pi - 2A, pi/2 and then the
-    roots' apex angles in (0, pi), angle by angle.  A kink of a right or
-    obtuse angle is not positive and becomes pi/2, and rows with fewer
-    roots are padded with pi/2 to the widest row.  Either way the pi/2
-    repeats an earlier candidate and so never wins a first-index argmin.
-    Rows are built one at a time in scalar arithmetic, so only a row's
-    padding depends on its batch.
+    Each row lists the input angles, their kinks, 1 for pi/2 and then the
+    positive roots, angle by angle.  gamma's t and cotangent are taken as
+    1/tan((alpha + beta)/2) and -1/tan(alpha + beta), which keep their
+    digits where gamma nears pi.  The kink of a right or obtuse angle
+    (k <= 0) is no apex angle and becomes 1, and rows with fewer roots are
+    padded with 1 to the widest row.  Either way the 1 repeats an earlier
+    candidate and so never wins a first-index argmin.  Rows are built one
+    at a time in scalar arithmetic, so only a row's padding depends on its
+    batch.
     """
-    half_pi = 0.5 * math.pi
     rows = []
-    for angle_row in angles:
-        row = [*angle_row]
-        for a in angle_row:
-            row.append(math.pi - 2.0 * a if a < half_pi else half_pi)
-        row.append(half_pi)
-        for a in angle_row:
-            row += _stationary_apex_angles(a)
+    for alpha, beta in angles:
+        ks = (1.0 / math.tan(alpha), 1.0 / math.tan(beta), -1.0 / math.tan(alpha + beta))
+        row = [math.tan(0.5 * alpha), math.tan(0.5 * beta), 1.0 / math.tan(0.5 * (alpha + beta))]
+        row += [k if k > 0.0 else 1.0 for k in ks]
+        row.append(1.0)
+        for k in ks:
+            row += _stationary_tans(k)
         rows.append(row)
     width = max(map(len, rows))
     for row in rows:
-        row += [half_pi] * (width - len(row))
+        row += [1.0] * (width - len(row))
     return rows
 
 
@@ -222,7 +222,7 @@ def _container_areas(
 
 def _block_search(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
     """`search` for one block of rows, in one array pass."""
-    rows = _candidate_rows([(ct.alpha, ct.beta, ct.gamma) for ct in cts])
+    rows = _candidate_rows([(ct.alpha, ct.beta) for ct in cts])
     cxy, normals, trig = _unit_frame(cts, rows)
     n, m = trig.shape[1:]
     axes = _flush_axes(normals, *trig[..., None])

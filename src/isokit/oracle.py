@@ -50,19 +50,19 @@ class OracleResult:
     """The least-area container the search found on the unit copy of
     `input` that `canonicalize` defines (AB from (0, 0) to (1, 0), C at
     (b/c)(cos alpha, sin alpha)): its area (the copy's times c squared),
-    its apex angle in (0, pi), its unit axis (vx, vy) from the base
-    midpoint toward the apex, and the copy's support values (h1, h2, hb) at
-    the outward normals of its legs and base.  `rotation` and `witness`
-    pose it on the input on each read."""
+    t = tan(delta/2) > 0 of its apex angle delta, its unit axis (vx, vy)
+    from the base midpoint toward the apex, and the copy's support values
+    (h1, h2, hb) at the outward normals of its legs and base.  `rotation`
+    and `witness` pose it on the input on each read."""
 
     input: CanonicalTriangle
     min_area: float
-    apex_angle: float
+    tan_half_apex: float
     axis: tuple[float, float]
     supports: tuple[float, float, float]
 
-    def __init__(self, input: CanonicalTriangle, min_area: float, apex_angle: float, axis: tuple, supports: tuple) -> None:
-        self.__dict__.update(input=input, min_area=min_area, apex_angle=apex_angle, axis=axis, supports=supports)
+    def __init__(self, input: CanonicalTriangle, min_area: float, tan_half_apex: float, axis: tuple, supports: tuple) -> None:
+        self.__dict__.update(input=input, min_area=min_area, tan_half_apex=tan_half_apex, axis=axis, supports=supports)
 
     def _pose(self) -> tuple[float, float, float, float]:
         """The axis on the input, and the leg supports (h1, h2) in the
@@ -86,22 +86,22 @@ class OracleResult:
         """The container on the input, apex first."""
         ax, ay, h1, h2 = self._pose()
         A, c = self.input.tri.A, self.input.c
-        vertices = _witness_vertices(A.x, A.y, h1 * c, h2 * c, self.supports[2] * c, self.apex_angle, ax, ay)
+        vertices = _witness_vertices(A.x, A.y, h1 * c, h2 * c, self.supports[2] * c, self.tan_half_apex, ax, ay)
         return Triangle(*(Point(x, y) for x, y in vertices))
 
 
 def _witness_vertices(
-    cx: float, cy: float, h1: float, h2: float, hb: float, delta: float, ux: float, uy: float
+    cx: float, cy: float, h1: float, h2: float, hb: float, t: float, ux: float, uy: float
 ) -> list[tuple[float, float]]:
     """The vertices, apex first, of the isosceles triangle with apex angle
-    `delta` and unit axis (`ux`, `uy`), from the base midpoint toward the
-    apex, bounded by the lines at support values (h1, h2, hb), measured
-    from (cx, cy), along the outward normals of its two legs and its base,
-    in the order `_search._side_supports` gives them."""
-    sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
-    apex = ((h1 + h2) / (2.0 * sh), (h2 - h1) / (2.0 * ch))
-    base1 = (-hb, -(h1 + hb * sh) / ch)
-    base2 = (-hb, (h2 + hb * sh) / ch)
+    delta, t = tan(delta/2), and unit axis (`ux`, `uy`), from the base
+    midpoint toward the apex, bounded by the lines at support values
+    (h1, h2, hb), measured from (cx, cy), along the outward normals of its
+    two legs and its base, in the order `_search._side_supports` gives them."""
+    r = math.hypot(1.0, t)  # 1/cos(delta/2), and r/t = 1/sin(delta/2)
+    apex = ((h1 + h2) * r / (2.0 * t), (h2 - h1) * r / 2.0)
+    base1 = (-hb, -(h1 * r + hb * t))
+    base2 = (-hb, h2 * r + hb * t)
     # (xi, eta) along the axis and a quarter turn counter-clockwise from it
     return [(cx + xi * ux - eta * uy, cy + xi * uy + eta * ux) for xi, eta in (apex, base1, base2)]
 
@@ -415,7 +415,7 @@ def _closed_forms(cts: Sequence[CanonicalTriangle]) -> list[MinimizerResult]:
 
 
 def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
-    w = _witness_vertices(0.0, 0.0, *oracle.supports, oracle.apex_angle, *oracle.axis)
+    w = _witness_vertices(0.0, 0.0, *oracle.supports, oracle.tan_half_apex, *oracle.axis)
     return VerificationReport(
         input=ct,
         relative_gap=(oracle.min_area - closed.min_area) / closed.min_area,

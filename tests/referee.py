@@ -127,14 +127,16 @@ def obtuse_needles(seed: int = 1, count: int = 1000) -> list:
 
 
 def min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle:
-    """Smallest isosceles triangle of shape `shape` = (apex angle, rotation)
-    containing `t`: the one bounded by the supporting lines of `t` at the
-    shape's outward side normals, about the vertex A.  The support values
-    are computed here, independently of the oracle's search, as the largest
-    n . (p - A) over the vertices p of `t`, in plain floats; the oracle's
-    `_witness_vertices` builds the triangle from them."""
-    delta, rotation = shape
-    sh, ch = math.sin(0.5 * delta), math.cos(0.5 * delta)
+    """Smallest isosceles triangle of shape `shape` = (tan(delta/2) of the
+    apex angle delta, rotation) containing `t`: the one bounded by the
+    supporting lines of `t` at the shape's outward side normals, about the
+    vertex A.  The support values are computed here, independently of the
+    oracle's search, as the largest n . (p - A) over the vertices p of `t`,
+    in plain floats; the oracle's `_witness_vertices` builds the triangle
+    from them."""
+    tan_half, rotation = shape
+    r = math.hypot(1.0, tan_half)
+    sh, ch = tan_half / r, 1.0 / r
     ux, uy = math.cos(rotation), math.sin(rotation)
     A = t.A
     pts = [(p.x - A.x, p.y - A.y) for p in t.vertices]
@@ -142,4 +144,4 @@ def min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle:
     # -u, with u = (ux, uy) and u' = (-uy, ux)
     normals = ((sh * ux + ch * uy, sh * uy - ch * ux), (sh * ux - ch * uy, sh * uy + ch * ux), (-ux, -uy))
     h1, h2, hb = (max(nx * x + ny * y for x, y in pts) for nx, ny in normals)
-    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, delta, ux, uy)))
+    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, tan_half, ux, uy)))

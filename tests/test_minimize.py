@@ -2,14 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, target
+from hypothesis import strategies as st
 
 from isokit import (
     BracketFailure,
+    GeometryError,
     InvalidRegime,
     InvalidSides,
     Kind,
     NotScalene,
     SELF_CONTAINER,
+    ShapeClass,
     all_special_containers,
     alpha_star,
     alpha_star_equation,
@@ -30,6 +34,7 @@ from isokit import (
     Point,
     Triangle,
 )
+from isokit.cli import GAP_TOL
 from isokit.minimize import _bisect
 from referee import (
     exact_min_area_squared,
@@ -330,22 +335,16 @@ ROTATED_NEEDLE_AREA_TOL = 1e-14
 # of the same draw on seeds 3, 7 and 11 (5.3e-15)
 WIDE_PROBE_AREA_TOL = 2e-14
 # relative bound of both areas on `obtuse_needles`: 30 times the closed
-# form's worst measured there (3.3e-16), and 7 times the worst gap of a
-# prototype oracle that carries each half apex angle with its half
-# supplement (1.4e-15 on 19,982 draws of the same recipe)
+# form's worst measured there (3.3e-16), and 9 times the oracle's
+# (1.09e-15), whose worst gap against the closed form on 19,986 draws of
+# the same recipe is 1.46e-15
 OBTUSE_NEEDLE_AREA_TOL = 1e-14
 
 POSED_AREAS = [
     pytest.param(rotated_needles, ROTATED_NEEDLE_AREA_TOL, id="rotated-needles"),
     pytest.param(wide_probe, WIDE_PROBE_AREA_TOL, id="wide-probe"),
 ]
-OBTUSE_NEEDLE_AREAS = (obtuse_needles, OBTUSE_NEEDLE_AREA_TOL)
-# ROADMAP item 17: the oracle's apex angle near pi carries an absolute error
-# of about 2e-16, which its area inherits divided by pi minus that angle;
-# measured worst 2.65e-8, with 65 of the 1000 inputs beyond verify's 1e-11
-ORACLE_MISSES_OBTUSE_NEEDLES = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 17: the oracle misses the minimum on obtuse needles"
-)
+OBTUSE_NEEDLE_AREAS = pytest.param(obtuse_needles, OBTUSE_NEEDLE_AREA_TOL, id="obtuse-needles")
 
 
 class TestExactReferee:
@@ -372,19 +371,38 @@ class TestExactReferee:
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
             assert within(result.min_area, exact_min_area_squared(ct), 2e-15)
 
-    @pytest.mark.parametrize("cts, tol", [*POSED_AREAS, pytest.param(*OBTUSE_NEEDLE_AREAS, id="obtuse-needles")])
+    @pytest.mark.parametrize("cts, tol", [*POSED_AREAS, OBTUSE_NEEDLE_AREAS])
     def test_closed_form_area_on_rotated_needles(self, cts, tol):
         for ct in cts():
             assert within(minimum_isosceles_container(ct).min_area, exact_min_area_squared(ct), tol)
 
-    @pytest.mark.parametrize(
-        "cts, tol",
-        [*POSED_AREAS, pytest.param(*OBTUSE_NEEDLE_AREAS, id="obtuse-needles", marks=ORACLE_MISSES_OBTUSE_NEEDLES)],
-    )
+    @pytest.mark.parametrize("cts, tol", [*POSED_AREAS, OBTUSE_NEEDLE_AREAS])
     def test_oracle_area_on_rotated_needles(self, cts, tol):
+        # an obtuse needle's winning apex angle is near pi; its candidate is
+        # t = cot A, whose last bits a float apex angle near pi would lose
         cts = cts()
         for ct, result in zip(cts, brute_force_min_isosceles_batch(ct.tri for ct in cts)):
             assert within(result.min_area, exact_min_area_squared(ct), tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_alpha=st.floats(-9.0, -1.0), log_d=st.floats(-8.0, 0.0))
+    def test_oracle_area_targets_obtuse_needles(self, log_alpha, log_d):
+        # targeted property-based testing (Loscher and Sagonas, ISSTA 2017):
+        # Hypothesis steers its draws of the `obtuse_needles` recipe toward
+        # a larger relative error of the oracle's area against the exact
+        # minimum
+        alpha = 10.0**log_alpha
+        try:
+            ct = triangle_from_angles(alpha, alpha * (1.0 + 10.0**log_d))
+        except GeometryError:
+            ct = None
+        assume(ct is not None and ct.shape_class is ShapeClass.SCALENE)
+        area = brute_force_min_isosceles(ct.tri).min_area
+        exact = exact_min_area_squared(ct)
+        # the area's relative error is about half its square's
+        error = abs(float(Fraction(area) ** 2 / exact - 1)) / 2.0
+        target(math.log10(max(error, 1e-18)), label="log10 relative error")
+        assert within(area, exact, OBTUSE_NEEDLE_AREA_TOL)
 
 
 def test_batch_rows_are_single_calls():
@@ -398,7 +416,7 @@ def test_batch_rows_are_single_calls():
         for k in (2, 4, 6, 8, 10, 12)
         for sign in (1.0, -1.0)
     ]
-    tris = [ct.tri for ct in wide_probe()[:64] + rotated_needles() + near_right]
+    tris = [ct.tri for ct in wide_probe()[:64] + rotated_needles() + obtuse_needles()[:64] + near_right]
     for tri, result in zip(tris, brute_force_min_isosceles_batch(tris)):
         assert brute_force_min_isosceles(tri) == result
 
@@ -415,9 +433,13 @@ def test_verify_reports_on_zero_side_witnesses():
     assert [report.input for report in reports] == picked
 
 
-def test_wide_probe_witness_flags_hold():
+@pytest.mark.parametrize("cts", [wide_probe, obtuse_needles], ids=["wide-probe", "obtuse-needles"])
+def test_wide_probe_witness_flags_hold(cts):
     # the checks run on the unit copy the search ran on, so no size, offset
-    # or rotation of the accepted domain leaves a flag False
-    reports = verify_triangles(wide_probe())
+    # or rotation of the accepted domain leaves a flag False; and every
+    # gap, obtuse needles' too, stays within verify's bound, which a
+    # candidate apex angle rounded as a float near pi broke
+    reports = verify_triangles(cts())
     assert len(reports) == 1000
     assert [i for i, report in enumerate(reports) if not all(report.flags.values())] == []
+    assert [i for i, report in enumerate(reports) if abs(report.relative_gap) > GAP_TOL] == []

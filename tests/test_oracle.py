@@ -40,16 +40,17 @@ from referee import dist, longest_side, min_triangle_for_shape, rigid_motion, tr
 
 
 def shape_of(tri: Triangle) -> tuple[float, float]:
-    """Apex angle and axis rotation of an isosceles triangle given as
-    (apex, base0, base1)."""
+    """tan(delta/2) of the apex angle delta and the axis rotation of an
+    isosceles triangle given as (apex, base0, base1)."""
     apex, b0, b1 = tri.vertices
     v0 = (b0.x - apex.x, b0.y - apex.y)
     v1 = (b1.x - apex.x, b1.y - apex.y)
-    cosang = (v0[0] * v1[0] + v0[1] * v1[1]) / (math.hypot(*v0) * math.hypot(*v1))
-    apex_angle = math.acos(max(-1.0, min(1.0, cosang)))
+    # sin(delta) / (1 + cos(delta)), both scaled by |v0| |v1|
+    cross = abs(v0[0] * v1[1] - v0[1] * v1[0])
+    tan_half = cross / (math.hypot(*v0) * math.hypot(*v1) + v0[0] * v1[0] + v0[1] * v1[1])
     mx, my = 0.5 * (b0.x + b1.x), 0.5 * (b0.y + b1.y)
     rotation = math.atan2(apex.y - my, apex.x - mx)
-    return apex_angle, rotation
+    return tan_half, rotation
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ class TestMinTriangleForShape:
     def test_sides_touch(self, t345):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            sp = (rng.uniform(0.1, math.pi - 0.1), rng.uniform(0, 2 * math.pi))
+            sp = (math.tan(0.5 * rng.uniform(0.1, math.pi - 0.1)), rng.uniform(0, 2 * math.pi))
             out = min_triangle_for_shape(t345.tri, sp)
             assert contains_triangle(out, t345.tri)
             w = out.vertices
@@ -98,7 +99,7 @@ class TestMinTriangleForShape:
                 assert dmin <= 1e-9 * ln
 
     def test_isosceles_output(self, t345):
-        sp = (1.0, 0.3)
+        sp = (math.tan(0.5), 0.3)
         out = min_triangle_for_shape(t345.tri, sp)
         apex, b0, b1 = out.vertices
         assert dist(apex, b0) == pytest.approx(dist(apex, b1), rel=1e-12)
@@ -146,7 +147,7 @@ class TestBruteForce:
         assert contains_triangle(res.witness, t345.tri)
         assert res.min_area == pytest.approx(7.5, rel=1e-12)
         # ABC' has its apex on A and shares the angle there
-        assert res.apex_angle == pytest.approx(t345.alpha, rel=1e-12)
+        assert res.tan_half_apex == pytest.approx(math.tan(0.5 * t345.alpha), rel=1e-12)
 
     def test_flush_candidates_are_complete(self):
         # the two claims the search rests on, checked by dense sampling:
@@ -154,7 +155,9 @@ class TestBruteForce:
         # (2) every local minimum over the apex angle of each flush family
         #     sits at a candidate apex angle
         # Each shape is a batch of one: the grids stand in for the candidate
-        # apex angles (one row of M) and the flush rotations (one row of K).
+        # apex angles (one row of M) and the flush rotations (one row of K),
+        # and the candidates, finite t = tan(delta/2) > 0, are compared as
+        # apex angles 2 atan(t).
         rng = np.random.default_rng(11)
         grid = np.linspace(1e-3, math.pi - 1e-3, 4001)
         step = grid[1] - grid[0]
@@ -164,7 +167,9 @@ class TestBruteForce:
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             ct = triangle_from_angles(math.pi * u, math.pi * (v - u))
             cxy, normals, _ = _unit_frame([ct], [()])
-            candidates = np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma)]))[0]
+            candidates = np.array(_candidate_rows([(ct.alpha, ct.beta)]))[0]
+            assert np.all(np.isfinite(candidates) & (candidates > 0.0))
+            candidates = 2.0 * np.arctan(candidates)
             sh, ch = np.sin(0.5 * grid[None, :, None]), np.cos(0.5 * grid[None, :, None])
             flush = _container_areas(cxy, sh, ch, _flush_axes(normals, sh, ch))[0][0]
             assert flush.shape == (len(grid), 9)
@@ -182,10 +187,12 @@ class TestBruteForce:
         # a support is the largest n . p over the unit copy's vertices
         # (0, 0), (1, 0) and C, here at every flush axis of every candidate
         # apex angle, with the normals written as `_side_supports` writes them
+        # and the half apex angle's sine and cosine taken from t = tan(delta/2)
         cts = [*sample_canonical_triangles(seed=42, count=64), triangle_from_angles(1e-9, 0.3)]
         cxy, normals, _ = _unit_frame(cts, [()] * len(cts))
-        half = 0.5 * np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma) for ct in cts]))[..., None]
-        sh, ch = np.sin(half), np.cos(half)
+        t = np.array(_candidate_rows([(ct.alpha, ct.beta) for ct in cts]))[..., None]
+        assert np.all(np.isfinite(t) & (t > 0.0))
+        sh, ch = t / np.sqrt(1.0 + t * t), 1.0 / np.sqrt(1.0 + t * t)
         ux, uy = _flush_axes(normals, sh, ch)
         legs_and_base = [
             (sh * ux + ch * uy, sh * uy - ch * ux),
@@ -204,23 +211,24 @@ class TestBruteForce:
             triangle_from_angles(math.radians(20), math.radians(35)),
             triangle_from_angles(0.6, 0.5 * math.pi - 0.6 + 1e-12),
             triangle_from_angles(0.6, 0.5 * math.pi - 0.6 - 1e-12),
-            # 3 sin(gamma) <= 1: the arcsin roots of gamma must wrap into (0, pi)
+            # 3 sin(gamma) <= 1: the quartic's roots of gamma are real, one near pi
             triangle_from_angles(math.radians(6.381), math.radians(9.700)),
         ],
         ids=["right-345", "obtuse", "gamma-below-right", "gamma-above-right", "obtuse-needle"],
     )
     def test_right_and_obtuse_input(self, ct):
-        # a right or obtuse angle A has no kink pi - 2A in (0, pi)
+        # a right or obtuse angle A has no kink pi - 2A in (0, pi): every
+        # candidate is a finite t = tan(delta/2) > 0
         assert abs(ct.gamma - 0.5 * math.pi) <= 1e-12 or ct.gamma > 0.6 * math.pi
-        candidates = np.array(_candidate_rows([(ct.alpha, ct.beta, ct.gamma)]))
-        assert np.all((candidates > 0.0) & (candidates < math.pi))
+        candidates = np.array(_candidate_rows([(ct.alpha, ct.beta)]))
+        assert np.all(np.isfinite(candidates) & (candidates > 0.0))
         assert abs(verify_triangle(ct).relative_gap) <= 1e-11
 
     def test_candidates_match_polynomial_roots(self):
         # the closed-form roots against numpy's companion-matrix eigenvalues,
         # as np.roots computes them: every real positive root t of either
-        # polynomial of an input angle must have a candidate apex angle
-        # within 1e-7 rad of 2 atan(t).
+        # polynomial of an input angle A, with k = cot A, must be within a
+        # relative 1e-7 of one of `_stationary_tans(k)`.
         # Besides the sweep: the quartic's double roots (3 sin A = 1), the
         # cubic's (cot(A)^2 = 9 + sqrt(108)), an angle just past the cubic's
         # where its pair is complex but within the cut, the right angle and
@@ -231,11 +239,14 @@ class TestBruteForce:
         special = [quartic_double, math.pi - quartic_double, cubic_double, math.pi - cubic_double]
         special += [cubic_double * (1.0 + 1e-15), 0.5 * math.pi, 1e-12, math.pi - 1e-12]
         angles = np.concatenate([sweep, special])
-        # one input angle per row
-        candidates = np.array(_candidate_rows(angles[:, None].tolist()))
-        assert np.all((candidates > 0.0) & (candidates < math.pi))
-
         k = 1.0 / np.tan(angles)
+        # one row per input angle, padded with inf, which is no root's match
+        rows = [_search._stationary_tans(kk) for kk in k.tolist()]
+        assert all(0.0 < t < math.inf for row in rows for t in row)
+        candidates = np.full((len(rows), max(map(len, rows))), np.inf)
+        for i, row in enumerate(rows):
+            candidates[i, : len(row)] = row
+
         one = np.ones_like(k)
         for coeffs in (np.stack([-k, 3 * one, k], axis=-1), np.stack([2 * k, 6 * one, -2 * k, one], axis=-1)):
             n = coeffs.shape[-1]
@@ -243,37 +254,46 @@ class TestBruteForce:
             companion[:, 0, :] = -coeffs
             companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
             roots = np.linalg.eigvals(companion)
+            if n == 4:
+                # the quartic's roots pair as t and -1/t, and the eigenvalues
+                # resolve the larger of each pair (at k = 1e12 the one for
+                # the root 5e-13 reads 7.0e-13), so the smaller is -1/t of it;
+                # the rest become i, no real root, and so does -1/i
+                big = np.where(np.abs(roots) > 1.0, roots, 1j)
+                roots = np.concatenate([big, -1.0 / big], axis=1)
             real = (np.abs(roots.imag) <= 1e-7 * np.abs(roots)) & (roots.real > 0.0)
-            deltas = np.where(real, 2.0 * np.arctan(roots.real), np.nan)
-            gaps = np.abs(candidates[:, None, :] - deltas[:, :, None]).min(axis=2)
+            ts = np.where(real, roots.real, np.nan)
+            gaps = np.abs(candidates[:, None, :] / ts[:, :, None] - 1.0).min(axis=2)
             assert real.any()
-            assert np.all(np.isnan(deltas) | (gaps <= 1e-7))
+            assert np.all(np.isnan(ts) | (gaps <= 1e-7))
 
     def test_roots_match_reference(self):
-        # the root finder against `reference_stationary_apex_angles`, bit for
-        # bit, on the angles of test_candidates_match_polynomial_roots
+        # the root finder against `reference_stationary_tans`, bit for bit,
+        # at the cotangents of the angles of
+        # test_candidates_match_polynomial_roots
         cubic_double = math.atan(1.0 / math.sqrt(9.0 + math.sqrt(108.0)))
         quartic_double = math.asin(1.0 / 3.0)
         special = [quartic_double, math.pi - quartic_double, cubic_double, math.pi - cubic_double]
         special += [cubic_double * (1.0 + 1e-15), 0.5 * math.pi, 1e-12, math.pi - 1e-12]
         for a in np.linspace(1e-6, math.pi - 1e-6, 20001).tolist() + special:
-            assert _search._stationary_apex_angles(a) == reference_stationary_apex_angles(a), a
+            k = 1.0 / math.tan(a)
+            assert _search._stationary_tans(k) == reference_stationary_tans(k), a
 
     def test_needle_cubic_roots(self):
         # for a needle angle A the cubic's roots are about cot A and +-1;
         # the small ones must keep their digits beside cot A
         for a in (1e-6, 3e-7, 1e-7):
             k = 1.0 / math.tan(a)
-            candidates = np.array(_candidate_rows([[a]]))[0]
+            candidates = np.array(_search._stationary_tans(k))
             for t in np.roots([1.0, -k, 3.0, k]).real:
                 if t > 0.0:
-                    assert np.min(np.abs(candidates - 2.0 * math.atan(t))) <= 1e-12
+                    assert np.min(np.abs(candidates / t - 1.0)) <= 1e-12
 
     def test_deterministic(self, t345):
         r1 = brute_force_min_isosceles(t345.tri)
         r2 = brute_force_min_isosceles(t345.tri)
         assert r1.min_area == r2.min_area
-        assert (r1.apex_angle, r1.rotation) == (r2.apex_angle, r2.rotation)
+        assert (r1.tan_half_apex, r1.rotation) == (r2.tan_half_apex, r2.rotation)
         assert r1.witness == r2.witness
 
     def test_never_beats_closed_form(self):
@@ -352,7 +372,7 @@ class TestConcurrency:
 
         def work(ct):
             res = brute_force_min_isosceles(ct.tri)
-            return (res.min_area, res.apex_angle, res.rotation)
+            return (res.min_area, res.tan_half_apex, res.rotation)
 
         serial = [work(ct) for ct in cts]
         with ThreadPoolExecutor(max_workers=4) as ex:
@@ -463,16 +483,18 @@ class TestBatchAPI:
         assert len(calls) == 1
 
 
-def reference_stationary_apex_angles(a):
-    """The search's root finder as first written, with its Newton step as a
-    function and the signs of cot A applied by multiplication; the search's
-    `_stationary_apex_angles` must return the same list, bit for bit."""
+def reference_stationary_tans(k):
+    """The search's root finder written plainly, for an input angle with
+    cotangent `k`: the cubic's roots with its Newton step as a function and
+    the sign of k applied by multiplication, then each root w of the
+    quadratic w^2 + 2k w + 8 as the positive root t of t^2 - w t - 1, that
+    is (w + sqrt(w^2 + 4))/2, rationalized where w < 0.  The search's
+    `_stationary_tans` must return the same list, bit for bit."""
 
     def polished(k, t):
         df = (3.0 * t - 2.0 * k) * t + 3.0
         return t - (((t - k) * t + 3.0) * t + k) / df if df else t
 
-    k = 1.0 / math.tan(a)
     kk = abs(k)
     p = 3.0 - kk * kk / 3.0
     q = 2.0 * kk * (1.0 - kk * kk / 27.0)
@@ -489,10 +511,18 @@ def reference_stationary_apex_angles(a):
         u = math.copysign(abs(w) ** (1.0 / 3.0), w)
         r = polished(kk, u - p / (3.0 * u) + kk / 3.0)
         ts = [r, 0.5 * (kk - r)]
-    deltas = [2.0 * math.atan(t) for t in (math.copysign(1.0, k) * t for t in ts) if t > 0.0]
-    phi = math.asin(min(1.0, 3.0 * math.sin(a)))
-    deltas += [0.5 * ((phi - a) % math.tau), 0.5 * ((math.pi - phi - a) % math.tau)]
-    return [delta for delta in deltas if 0.0 < delta < math.pi]
+    tans = [t for t in (math.copysign(1.0, k) * t for t in ts) if t > 0.0]
+    # the quadratic's larger root by magnitude, and the other from the
+    # product 8; a complex pair is replaced by the double root -k
+    if k * k > 8.0:
+        w1 = -(k + math.copysign(math.sqrt(k * k - 8.0), k))
+        ws = [w1, 8.0 / w1]
+    else:
+        ws = [-k, -k]
+    for w in ws:
+        root = math.sqrt(w * w + 4.0)
+        tans.append((w + root) / 2.0 if w >= 0.0 else 2.0 / (root - w))
+    return tans
 
 
 def _seg_distance(p, q0, q1):
@@ -564,7 +594,7 @@ def unit_copy(report):
     ct = result.input
     r = ct.b / ct.c
     ins = [(0.0, 0.0), (1.0, 0.0), (r * math.cos(ct.alpha), r * math.sin(ct.alpha))]
-    return ins, _witness_vertices(0.0, 0.0, *result.supports, result.apex_angle, *result.axis)
+    return ins, _witness_vertices(0.0, 0.0, *result.supports, result.tan_half_apex, *result.axis)
 
 
 class TestWitnessFlags:

@@ -176,16 +176,17 @@ def test_witness_matches_min_triangle_for_shape():
     # the result's shape, so the two triangles may differ by rounding alone
     batch = witness_batch()
     for t, result in zip(batch, brute_force_min_isosceles_batch(batch)):
-        again = min_triangle_for_shape(t, (result.apex_angle, result.rotation))
+        again = min_triangle_for_shape(t, (result.tan_half_apex, result.rotation))
         size = longest_side(again)
         for p, q in zip(result.witness.vertices, again.vertices):
             assert dist(p, q) <= 1e-12 * size
 
 
 def test_result_reports_its_shape():
-    # the apex angle bounds a triangle and the rotation is reduced to one turn
+    # the apex angle bounds a triangle (tan(delta/2) finite and positive)
+    # and the rotation is reduced to one turn
     for result in brute_force_min_isosceles_batch(witness_batch()):
-        assert 0.0 < result.apex_angle < math.pi
+        assert 0.0 < result.tan_half_apex < math.inf
         assert 0.0 <= result.rotation < 2 * math.pi
 
 

@@ -68,7 +68,7 @@ def test_public_function_parameters():
 PUBLIC_RECORD_FIELDS = {
     "CanonicalTriangle": ("tri", "a", "b", "c", "alpha", "beta", "gamma", "area", "shape_class"),
     "MinimizerResult": ("min_area", "min_ratio", "minimizers", "candidates"),
-    "OracleResult": ("input", "min_area", "apex_angle", "axis", "supports"),
+    "OracleResult": ("input", "min_area", "tan_half_apex", "axis", "supports"),
     "Point": ("x", "y"),
     "SpecialContainer": ("variant", "input", "ratio"),
     "Tolerances": ("eps_len", "eps_angle", "eps_num", "eps_tie"),
