@@ -20,33 +20,34 @@ import numpy as np
 from .geo import CanonicalTriangle
 from .oracle import OracleResult
 
-# rows per array pass; a pass holds about a dozen (rows, M, 9) float arrays,
-# 83 KB each at 64 rows and M = 18.  On 1000 and 4096 sampler rows the
-# search took 0.67-0.72 times as long as at 512 rows, whose arrays are
-# 663 KB each (2-core Xeon, 2 MiB L2 per core)
+# rows per array pass; a pass holds at most twelve (rows, M, 9) float
+# arrays at once, 83 KB each at 64 rows and M = 18.  On 1000 and 4096
+# sampler rows the search took 0.67-0.72 times as long as at 512 rows,
+# whose arrays are 663 KB each (2-core Xeon, 2 MiB L2 per core)
 _BLOCK_ROWS = 64
 
 
-def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> np.ndarray:
-    """Support values (h1, h2, hb), stacked on a leading axis of three, of a
-    unit copy at the outward normals n of the two legs and the base of the
-    isosceles shape with half apex angle sine `sh`, cosine `ch` and unit
-    axis u = (`ux`, `uy`): sh u -/+ ch u' and -u, with u' = (-uy, ux).  The
-    copy's vertices are (0, 0), (1, 0) and C = (`cx`, `cy`), so a support
-    is max(0, n_x, n . C).  The operands broadcast; the search passes all
-    but C at one shape, so that each pass runs on contiguous operands."""
-    a, b = sh * ux, ch * uy
+def _side_supports(cx: np.ndarray, cy: np.ndarray, t, ux, uy) -> np.ndarray:
+    """Support values (g1, g2, hb), stacked on a leading axis of three, of a
+    unit copy at the normals of the two legs and the base of the isosceles
+    shape with t = tan(delta/2) of its apex angle delta and unit axis
+    u = (`ux`, `uy`): t u -/+ u' and -u, with u' = (-uy, ux).  The legs'
+    normals are r = hypot(1, t) times the unit outward normals, so g1 and
+    g2 are r times the legs' support values.  The copy's vertices are
+    (0, 0), (1, 0) and C = (`cx`, `cy`), so a support is max(0, n_x, n . C).
+    The operands broadcast; the search passes all but C at one shape, so
+    that each pass runs on contiguous operands."""
+    a = t * ux
     # the three normals' x components, then their y components
     nx, ny = np.empty((3,) + a.shape), np.empty((3,) + a.shape)
-    np.add(a, b, out=nx[0])
-    np.subtract(a, b, out=nx[1])
+    np.add(a, uy, out=nx[0])
+    np.subtract(a, uy, out=nx[1])
     np.negative(ux, out=nx[2])
-    np.multiply(sh, uy, out=a)
-    np.multiply(ch, ux, out=b)
-    np.subtract(a, b, out=ny[0])
-    np.add(a, b, out=ny[1])
+    np.multiply(t, uy, out=a)
+    np.subtract(a, ux, out=ny[0])
+    np.add(a, ux, out=ny[1])
     np.negative(uy, out=ny[2])
-    del a, b  # a block's peak memory is a dozen or so of these arrays
+    del a  # a block's peak memory is twelve of these arrays, reached below
     h = nx * cx
     h += np.multiply(ny, cy, out=ny)
     np.maximum(h, nx, out=h)
@@ -60,17 +61,12 @@ def _side_supports(cx: np.ndarray, cy: np.ndarray, sh, ch, ux, uy) -> np.ndarray
 _NORMAL_SIGNS = np.array(((1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)))[:, None, :]
 
 
-def _unit_frame(
-    cts: Sequence[CanonicalTriangle], rows: Sequence[Sequence[float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each of `cts` and its row of `rows` (candidates t = tan(delta/2),
-    the same number per row): the coordinates (2, N, 1, 1) of the vertex C
-    of its unit copy, the x and y components (2, N, 3) of the copy's sides'
-    unit outward normals, and the sines and cosines (2, N, M) of the halves
-    of the row's apex angles, t / r and 1 / r with r = hypot(1, t), which
-    keep their last bits at both ends of (0, pi).  The rest come from one
-    sine and one cosine pass over the rows (0, beta, alpha): sin 0 = 0 and
-    cos 0 = 1 exactly, and the signs are exact flips.
+def _unit_frame(cts: Sequence[CanonicalTriangle]) -> tuple[np.ndarray, np.ndarray]:
+    """For each of `cts`: the coordinates (2, N, 1, 1) of the vertex C of
+    its unit copy, and the x and y components (2, N, 3) of the copy's
+    sides' unit outward normals, from one sine and one cosine pass over the
+    rows (0, beta, alpha): sin 0 = 0 and cos 0 = 1 exactly, and the signs
+    are exact flips.
 
     The copy is the one `canonicalize` defines: the longest side AB from
     (0, 0) to (1, 0) and C at (b/c)(cos alpha, sin alpha), so the sides AB,
@@ -85,9 +81,7 @@ def _unit_frame(
     np.sin(table, out=trig[0])
     np.cos(table, out=trig[1])
     cxy = trig[::-1, :, 2] * np.array([ct.b / ct.c for ct in cts])
-    t = np.array(rows)
-    r = np.hypot(t, 1.0)
-    return cxy[:, :, None, None], trig * _NORMAL_SIGNS, np.array((t / r, 1.0 / r))
+    return cxy[:, :, None, None], trig * _NORMAL_SIGNS
 
 
 def _stationary_tans(k: float) -> list[float]:
@@ -189,55 +183,56 @@ def _candidate_rows(angles: Sequence[tuple[float, float]]) -> list[list[float]]:
     return rows
 
 
-def _flush_axes(normals: np.ndarray, sh: np.ndarray, ch: np.ndarray) -> np.ndarray:
+def _flush_axes(normals: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The x and y components (2, N, M, 9) of the nine unit axes per apex
     angle at which the base, the first leg or the second leg is flush with
-    an input side, for unit outward normals n, `normals` (2, N, 3), and the
-    half apex angles' sines `sh` and cosines `ch` (N, M, 1): -n, then n
-    turned by +/- (pi/2 - delta/2), sh n +/- ch n' with n' = (-ny, nx)."""
+    an input side, for unit outward normals n, `normals` (2, N, 3), and
+    t = tan(delta/2) of the apex angles with r = hypot(1, t), `t` and `r`
+    (N, M, 1): -n, then n turned by +/- (pi/2 - delta/2),
+    (t n +/- n') / r with n' = (-ny, nx)."""
     n = normals[:, :, None, :]
-    a, b = sh * n, ch * np.array((-normals[1], normals[0]))[:, :, None, :]
+    a, b = t * n, np.array((-normals[1], normals[0]))[:, :, None, :]
     axes = np.empty(a.shape[:-1] + (9,))
-    axes[..., :3], axes[..., 3:6], axes[..., 6:] = -n, a + b, a - b
+    axes[..., :3], axes[..., 3:6], axes[..., 6:] = -n, (a + b) / r, (a - b) / r
     return axes
 
 
 def _container_areas(
-    cxy: np.ndarray, sh: np.ndarray, ch: np.ndarray, axes: np.ndarray
+    cxy: np.ndarray, t: np.ndarray, axes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Areas of the supporting-line containers of the unit copies with
-    vertex C at `cxy` (2, N, 1, 1), for the half apex angle sines `sh` and
-    cosines `ch` (N, M, 1, or expanded to K) along the unit axes `axes`
-    (2, N, M, K): tan(delta/2) * H^2 with H the apex-to-base height.
-    Returns the areas and the support values (h1, h2, hb) they come from,
-    each (N, M, K)."""
-    h1, h2, hb = _side_supports(*cxy, sh, ch, *axes)
-    height = h1 + h2
-    height /= 2.0 * sh
+    vertex C at `cxy` (2, N, 1, 1), for t = tan(delta/2) of the apex angles
+    delta, `t` (N, M, 1, or expanded to K), along the unit axes `axes`
+    (2, N, M, K): t H^2 with H = (g1 + g2) / (2t) + hb the apex-to-base
+    height.  Returns the areas and the support values (g1, g2, hb) of
+    `_side_supports` they come from, each (N, M, K)."""
+    g1, g2, hb = _side_supports(*cxy, t, *axes)
+    height = g1 + g2
+    height /= 2.0 * t
     height += hb
-    area = sh / ch * height
+    area = t * height
     area *= height
-    return area, h1, h2, hb
+    return area, g1, g2, hb
 
 
 def _block_search(cts: Sequence[CanonicalTriangle]) -> list[OracleResult]:
     """`search` for one block of rows, in one array pass."""
     rows = _candidate_rows([(ct.alpha, ct.beta) for ct in cts])
-    cxy, normals, trig = _unit_frame(cts, rows)
-    n, m = trig.shape[1:]
-    axes = _flush_axes(normals, *trig[..., None])
-    # the sines and cosines once per flush axis, so that the support and
-    # area passes run on operands of one shape
-    trig9 = np.repeat(trig, 9, axis=2).reshape(2, n, m, 9)
-    areas, h1, h2, hb = _container_areas(cxy, *trig9, axes)
+    cxy, normals = _unit_frame(cts)
+    t = np.array(rows)[..., None]
+    n, m = t.shape[:2]
+    axes = _flush_axes(normals, t, np.hypot(t, 1.0))
+    # t once per flush axis, so that the support and area passes run on
+    # operands of one shape
+    found = _container_areas(cxy, np.repeat(t, 9, axis=2), axes)
     # each row's argmin plus the row's offset: one index into every
     # flattened (N, M, 9) array
-    best = areas.reshape(n, -1).argmin(axis=1)
+    best = found[0].reshape(n, -1).argmin(axis=1)
     flat = best + np.arange(0, n * m * 9, m * 9)
-    picked = [a.take(flat).tolist() for a in (areas, h1, h2, hb)] + axes.reshape(2, -1).take(flat, axis=1).tolist()
+    picked = [a.take(flat).tolist() for a in found] + axes.reshape(2, -1).take(flat, axis=1).tolist()
     return [
-        OracleResult(ct, area * ct.c * ct.c, row[j // 9], (vx, vy), (g1, g2, gb))
-        for ct, row, j, area, g1, g2, gb, vx, vy in zip(cts, rows, best.tolist(), *picked)
+        OracleResult(ct, area * ct.c * ct.c, row[j // 9], (vx, vy), (g1, g2, hb))
+        for ct, row, j, area, g1, g2, hb, vx, vy in zip(cts, rows, best.tolist(), *picked)
     ]
 
 

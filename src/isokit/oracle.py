@@ -50,10 +50,12 @@ class OracleResult:
     """The least-area container the search found on the unit copy of
     `input` that `canonicalize` defines (AB from (0, 0) to (1, 0), C at
     (b/c)(cos alpha, sin alpha)): its area (the copy's times c squared),
-    t = tan(delta/2) > 0 of its apex angle delta, its unit axis (vx, vy)
+    t = tan(delta/2) > 0 of its apex angle delta, its unit axis u = (vx, vy)
     from the base midpoint toward the apex, and the copy's support values
-    (h1, h2, hb) at the outward normals of its legs and base.  `rotation`
-    and `witness` pose it on the input on each read."""
+    (g1, g2, hb) at the normals t u -/+ u' of its legs and -u of its base,
+    with u' = (-vy, vx), as the search computed them: the legs' normals are
+    hypot(1, t) times the unit ones.  `rotation` and `witness` pose it on
+    the input on each read."""
 
     input: CanonicalTriangle
     min_area: float
@@ -65,43 +67,45 @@ class OracleResult:
         self.__dict__.update(input=input, min_area=min_area, tan_half_apex=tan_half_apex, axis=axis, supports=supports)
 
     def _pose(self) -> tuple[float, float, float, float]:
-        """The axis on the input, and the leg supports (h1, h2) in the
+        """The axis on the input, and the leg supports (g1, g2) in the
         input's order.  The copy's point (x, y) is A + c (x u + s y u') on the
         input, with u = (B - A) / c, u' = (-uy, ux) and s = -1 where A, B, C
         wind clockwise; that mirror turns the first leg's normal into the second's."""
         tri, c = self.input.tri, self.input.c
         ux, uy = (tri.B.x - tri.A.x) / c, (tri.B.y - tri.A.y) / c
         s = math.copysign(1.0, signed_area(tri))
-        (vx, vy), (h1, h2, _) = self.axis, self.supports
-        return vx * ux - s * vy * uy, vx * uy + s * vy * ux, *((h2, h1) if s < 0.0 else (h1, h2))
+        (vx, vy), (g1, g2, _) = self.axis, self.supports
+        return vx * ux - s * vy * uy, vx * uy + s * vy * ux, *((g2, g1) if s < 0.0 else (g1, g2))
 
     @property
     def rotation(self) -> float:
         """The direction of the axis on the input, in [0, 2 pi)."""
         ax, ay, _, _ = self._pose()
-        return math.atan2(ay, ax) % math.tau
+        # an angle in (-4.4e-16, 0) rounds up to a full turn, which is 0
+        rotation = math.atan2(ay, ax) % math.tau
+        return rotation if rotation < math.tau else 0.0
 
     @property
     def witness(self) -> Triangle:
         """The container on the input, apex first."""
-        ax, ay, h1, h2 = self._pose()
+        ax, ay, g1, g2 = self._pose()
         A, c = self.input.tri.A, self.input.c
-        vertices = _witness_vertices(A.x, A.y, h1 * c, h2 * c, self.supports[2] * c, self.tan_half_apex, ax, ay)
+        vertices = _witness_vertices(A.x, A.y, g1 * c, g2 * c, self.supports[2] * c, self.tan_half_apex, ax, ay)
         return Triangle(*(Point(x, y) for x, y in vertices))
 
 
 def _witness_vertices(
-    cx: float, cy: float, h1: float, h2: float, hb: float, t: float, ux: float, uy: float
+    cx: float, cy: float, g1: float, g2: float, hb: float, t: float, ux: float, uy: float
 ) -> list[tuple[float, float]]:
     """The vertices, apex first, of the isosceles triangle with apex angle
     delta, t = tan(delta/2), and unit axis (`ux`, `uy`), from the base
     midpoint toward the apex, bounded by the lines at support values
-    (h1, h2, hb), measured from (cx, cy), along the outward normals of its
-    two legs and its base, in the order `_search._side_supports` gives them."""
-    r = math.hypot(1.0, t)  # 1/cos(delta/2), and r/t = 1/sin(delta/2)
-    apex = ((h1 + h2) * r / (2.0 * t), (h2 - h1) * r / 2.0)
-    base1 = (-hb, -(h1 * r + hb * t))
-    base2 = (-hb, h2 * r + hb * t)
+    (g1, g2, hb), measured from (cx, cy), along the normals t u -/+ u' of
+    its two legs and -u of its base, in the order `_search._side_supports`
+    gives them.  The apex is (g1 + g2) / (2t) from the base along the axis."""
+    apex = ((g1 + g2) / (2.0 * t), (g2 - g1) / 2.0)
+    base1 = (-hb, -(g1 + hb * t))
+    base2 = (-hb, g2 + hb * t)
     # (xi, eta) along the axis and a quarter turn counter-clockwise from it
     return [(cx + xi * ux - eta * uy, cy + xi * uy + eta * ux) for xi, eta in (apex, base1, base2)]
 
@@ -112,21 +116,26 @@ class VerificationReport:
     checks every true minimizer must satisfy: all input vertices on the
     witness boundary, each witness side touching the input, one vertex per
     midpoint arc, a shared vertex, and a shared side plus endpoint angle.
-    The two areas are `min_result.min_area` and `oracle_result.min_area`."""
+    The two areas are `min_result.min_area` and `oracle_result.min_area`;
+    `input` and `relative_gap` are read from them."""
 
-    input: CanonicalTriangle
-    relative_gap: float
     min_result: MinimizerResult
     oracle_result: OracleResult
     flags: dict[str, bool]
 
-    def __init__(
-        self, input: CanonicalTriangle, relative_gap: float, min_result: MinimizerResult,
-        oracle_result: OracleResult, flags: dict[str, bool],
-    ) -> None:
-        self.__dict__.update(
-            input=input, relative_gap=relative_gap, min_result=min_result, oracle_result=oracle_result, flags=flags
-        )
+    def __init__(self, min_result: MinimizerResult, oracle_result: OracleResult, flags: dict[str, bool]) -> None:
+        self.__dict__.update(min_result=min_result, oracle_result=oracle_result, flags=flags)
+
+    @property
+    def input(self) -> CanonicalTriangle:
+        """The searched triangle, `oracle_result.input`."""
+        return self.oracle_result.input
+
+    @property
+    def relative_gap(self) -> float:
+        """(oracle area - closed-form area) / closed-form area."""
+        closed = self.min_result.min_area
+        return (self.oracle_result.min_area - closed) / closed
 
 
 def brute_force_min_isosceles_batch(triangles: Iterable[Triangle]) -> list[OracleResult]:
@@ -414,15 +423,9 @@ def _closed_forms(cts: Sequence[CanonicalTriangle]) -> list[MinimizerResult]:
     return [minimum_isosceles_container(ct) for ct in cts]
 
 
-def _report(ct: CanonicalTriangle, closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
+def _report(closed: MinimizerResult, oracle: OracleResult) -> VerificationReport:
     w = _witness_vertices(0.0, 0.0, *oracle.supports, oracle.tan_half_apex, *oracle.axis)
-    return VerificationReport(
-        input=ct,
-        relative_gap=(oracle.min_area - closed.min_area) / closed.min_area,
-        min_result=closed,
-        oracle_result=oracle,
-        flags=_witness_flags(oracle.input, w),
-    )
+    return VerificationReport(min_result=closed, oracle_result=oracle, flags=_witness_flags(oracle.input, w))
 
 
 def verify_triangles(cts: Iterable[CanonicalTriangle]) -> list[VerificationReport]:
@@ -435,7 +438,7 @@ def verify_triangles(cts: Iterable[CanonicalTriangle]) -> list[VerificationRepor
     cts = list(cts)
     closed = _closed_forms(cts)
     oracles = _searched(cts)
-    return [_report(*case) for case in zip(cts, closed, oracles)]
+    return [_report(*case) for case in zip(closed, oracles)]
 
 
 def verify_triangle(ct: CanonicalTriangle) -> VerificationReport:
@@ -443,4 +446,4 @@ def verify_triangle(ct: CanonicalTriangle) -> VerificationReport:
     `brute_force_min_isosceles`, so a caller that wraps that function (the
     benchmark's tracer does) still sees single searches."""
     (closed,) = _closed_forms([ct])
-    return _report(ct, closed, brute_force_min_isosceles(ct.tri))
+    return _report(closed, brute_force_min_isosceles(ct.tri))

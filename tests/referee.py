@@ -135,13 +135,12 @@ def min_triangle_for_shape(t: Triangle, shape: tuple[float, float]) -> Triangle:
     in plain floats; the oracle's `_witness_vertices` builds the triangle
     from them."""
     tan_half, rotation = shape
-    r = math.hypot(1.0, tan_half)
-    sh, ch = tan_half / r, 1.0 / r
     ux, uy = math.cos(rotation), math.sin(rotation)
     A = t.A
     pts = [(p.x - A.x, p.y - A.y) for p in t.vertices]
-    # the outward normals of the two legs and the base: sh u -/+ ch u' and
-    # -u, with u = (ux, uy) and u' = (-uy, ux)
-    normals = ((sh * ux + ch * uy, sh * uy - ch * ux), (sh * ux - ch * uy, sh * uy + ch * ux), (-ux, -uy))
-    h1, h2, hb = (max(nx * x + ny * y for x, y in pts) for nx, ny in normals)
-    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, h1, h2, hb, tan_half, ux, uy)))
+    # the outward normals of the two legs, hypot(1, tan_half) times the unit
+    # ones, and of the base: tan_half u -/+ u' and -u, with u = (ux, uy)
+    # and u' = (-uy, ux)
+    normals = ((tan_half * ux + uy, tan_half * uy - ux), (tan_half * ux - uy, tan_half * uy + ux), (-ux, -uy))
+    g1, g2, hb = (max(nx * x + ny * y for x, y in pts) for nx, ny in normals)
+    return Triangle(*(Point(*v) for v in _witness_vertices(A.x, A.y, g1, g2, hb, tan_half, ux, uy)))

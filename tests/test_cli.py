@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -6,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +35,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def verify_with_gaps(gaps):
+    """`verify_triangles` with `gaps` as its reports' relative gaps.  A
+    report computes its gap from its two areas, so each real report is
+    copied into a record of the attributes the CLI reads, with the gap set."""
+
+    def stubbed(cts):
+        return [
+            SimpleNamespace(
+                input=r.input, min_result=r.min_result, oracle_result=r.oracle_result, flags=r.flags, relative_gap=g
+            )
+            for r, g in zip(verify_triangles(cts), gaps)
+        ]
+
+    return stubbed
 
 
 class TestContainers:
@@ -345,10 +361,7 @@ class TestVerify:
         # gaps stubbed onto real reports: case 1 and case 2 tie on |gap|
         gaps = [1e-13, -4e-13, 4e-13, 2e-13]
 
-        def with_gaps(cts):
-            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts), gaps)]
-
-        monkeypatch.setattr(cli, "verify_triangles", with_gaps)
+        monkeypatch.setattr(cli, "verify_triangles", verify_with_gaps(gaps))
         path = tmp_path / "cases.json"
         code, out, _ = run(capsys, "verify", "--samples", "4", "--seed", "3", "--out", str(path))
         assert code == 0
@@ -364,20 +377,14 @@ class TestVerify:
     def test_gap_beyond_default_tolerance_exits_1(self, capsys, monkeypatch, gap):
         # the default bounds are 1e-11 each way, far above the measured
         # |gap| (below 1.3e-14) and far below a lost digit of the oracle
-        def with_gaps(cts):
-            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts), [1e-13, gap])]
-
-        monkeypatch.setattr(cli, "verify_triangles", with_gaps)
+        monkeypatch.setattr(cli, "verify_triangles", verify_with_gaps([1e-13, gap]))
         code, out, _ = run(capsys, "verify", "--samples", "2", "--seed", "3")
         assert code == 1
         assert out.endswith("FAIL\n")
 
     def test_violation_exits_1(self, capsys, tmp_path, monkeypatch):
         # one case of three just beyond the bound fails the run and its report
-        def with_gaps(cts):
-            return [dataclasses.replace(r, relative_gap=g) for r, g in zip(verify_triangles(cts), [0.0, -1e-13, 2e-11])]
-
-        monkeypatch.setattr(cli, "verify_triangles", with_gaps)
+        monkeypatch.setattr(cli, "verify_triangles", verify_with_gaps([0.0, -1e-13, 2e-11]))
         path = tmp_path / "cases.json"
         code, out, _ = run(capsys, "verify", "--samples", "3", "--seed", "1", "--out", str(path))
         assert code == 1

@@ -3,8 +3,8 @@ each case in tests/data/cli_golden.json.
 
 `verify` runs are left out: their gap digits come from numpy's elementwise
 sin and cos, which give only the copy's side normals, and from its
-hypot, which gives each candidate's sine and cosine; both may differ in the
-last bits between builds.
+hypot, which gives only each candidate's r = hypot(1, t) for the unit flush
+axes; both may differ in the last bits between builds.
 Warnings are recorded as "Category: message" lines, since their printed
 form carries source paths.
 

@@ -166,16 +166,16 @@ class TestBruteForce:
         for _ in range(30):
             u, v = sorted(rng.uniform(0.01, 0.99, size=2))
             ct = triangle_from_angles(math.pi * u, math.pi * (v - u))
-            cxy, normals, _ = _unit_frame([ct], [()])
+            cxy, normals = _unit_frame([ct])
             candidates = np.array(_candidate_rows([(ct.alpha, ct.beta)]))[0]
             assert np.all(np.isfinite(candidates) & (candidates > 0.0))
             candidates = 2.0 * np.arctan(candidates)
-            sh, ch = np.sin(0.5 * grid[None, :, None]), np.cos(0.5 * grid[None, :, None])
-            flush = _container_areas(cxy, sh, ch, _flush_axes(normals, sh, ch))[0][0]
+            t = np.tan(0.5 * grid[None, :, None])
+            flush = _container_areas(cxy, t, _flush_axes(normals, t, np.hypot(t, 1.0)))[0][0]
             assert flush.shape == (len(grid), 9)
 
             for i in (500, 2000, 3500):
-                dense = _container_areas(cxy, sh[:, i : i + 1], ch[:, i : i + 1], axes)[0].min()
+                dense = _container_areas(cxy, t[:, i : i + 1], axes)[0].min()
                 assert flush[i].min() <= dense * (1.0 + 1e-12)
 
             for f in flush.T:
@@ -186,20 +186,15 @@ class TestBruteForce:
     def test_side_supports_match_definition(self):
         # a support is the largest n . p over the unit copy's vertices
         # (0, 0), (1, 0) and C, here at every flush axis of every candidate
-        # apex angle, with the normals written as `_side_supports` writes them
-        # and the half apex angle's sine and cosine taken from t = tan(delta/2)
+        # apex angle, with the normals t u -/+ u' and -u, u' = (-uy, ux), of
+        # t = tan(delta/2) written as `_side_supports` writes them
         cts = [*sample_canonical_triangles(seed=42, count=64), triangle_from_angles(1e-9, 0.3)]
-        cxy, normals, _ = _unit_frame(cts, [()] * len(cts))
+        cxy, normals = _unit_frame(cts)
         t = np.array(_candidate_rows([(ct.alpha, ct.beta) for ct in cts]))[..., None]
         assert np.all(np.isfinite(t) & (t > 0.0))
-        sh, ch = t / np.sqrt(1.0 + t * t), 1.0 / np.sqrt(1.0 + t * t)
-        ux, uy = _flush_axes(normals, sh, ch)
-        legs_and_base = [
-            (sh * ux + ch * uy, sh * uy - ch * ux),
-            (sh * ux - ch * uy, sh * uy + ch * ux),
-            (-ux, -uy),
-        ]
-        supports = _search._side_supports(*cxy, sh, ch, ux, uy)
+        ux, uy = _flush_axes(normals, t, np.hypot(t, 1.0))
+        legs_and_base = [(t * ux + uy, t * uy - ux), (t * ux - uy, t * uy + ux), (-ux, -uy)]
+        supports = _search._side_supports(*cxy, t, ux, uy)
         for h, (nx, ny) in zip(supports, legs_and_base):
             dots = [nx * px + ny * py for px, py in ((0.0, 0.0), (1.0, 0.0), cxy)]
             assert np.all(h == np.maximum(np.maximum(dots[0], dots[1]), dots[2]))

@@ -7,10 +7,13 @@ float vertices (`referee`), so a gap measures the oracle alone.
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from isokit import (
+    OracleResult,
+    Point,
     Triangle,
     brute_force_min_isosceles,
     brute_force_min_isosceles_batch,
@@ -21,13 +24,16 @@ from isokit import (
     triangle_from_angles,
     verify_triangle,
 )
+from isokit.oracle import _witness_vertices
 from referee import (
     dist,
     exact_min_area_squared,
     longest_side,
     min_triangle_for_shape,
+    obtuse_needles,
     rigid_motion,
     triangle,
+    wide_probe,
     within,
 )
 
@@ -182,12 +188,41 @@ def test_witness_matches_min_triangle_for_shape():
             assert dist(p, q) <= 1e-12 * size
 
 
+def axis_posed(seed: int = 3, count: int = 500) -> list[Triangle]:
+    """Sampler rows turned about their vertex A, the origin, so that the
+    oracle's axis lands on +x, or a rounding of it just above or below."""
+    tris = [ct.tri for ct in sample_canonical_triangles(seed=seed, count=count)]
+    return [rigid_motion(t, -result.rotation) for t, result in zip(tris, brute_force_min_isosceles_batch(tris))]
+
+
 def test_result_reports_its_shape():
     # the apex angle bounds a triangle (tan(delta/2) finite and positive)
-    # and the rotation is reduced to one turn
-    for result in brute_force_min_isosceles_batch(witness_batch()):
+    # and the rotation is reduced to one turn, also where the axis sits a
+    # rounding below +x
+    for result in brute_force_min_isosceles_batch([*witness_batch(), *axis_posed()]):
         assert 0.0 < result.tan_half_apex < math.inf
         assert 0.0 <= result.rotation < 2 * math.pi
+
+
+def test_rotation_just_below_zero_is_zero():
+    # atan2 gives -1e-16, and -1e-16 mod 2 pi rounds up to 2 pi itself
+    ct = triangle_from_angles(0.4, 1.1)
+    assert ct.tri.A == Point(0.0, 0.0) and ct.tri.B.y == 0.0 and signed_area(ct.tri) > 0.0
+    result = OracleResult(ct, 1.0, 1.0, (1.0, -1e-16), (1.0, 1.0, 1.0))
+    assert result.rotation == 0.0
+
+
+def test_area_is_its_witness_area():
+    # the reported area is the one the search minimised, and the witness is
+    # built from the same t, axis and supports: on the unit copy the two
+    # agree, measured exactly on the witness's float vertices
+    families = [witness_batch(), [ct.tri for ct in wide_probe()], [ct.tri for ct in obtuse_needles()]]
+    for result in brute_force_min_isosceles_batch([t for family in families for t in family]):
+        w = _witness_vertices(0.0, 0.0, *result.supports, result.tan_half_apex, *result.axis)
+        (x0, y0), (x1, y1), (x2, y2) = ((Fraction(x), Fraction(y)) for x, y in w)
+        area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+        searched = Fraction(result.min_area) / Fraction(result.input.c) ** 2
+        assert abs(area - searched) <= Fraction(1e-14) * searched
 
 
 def test_witness_holds_input_and_sides_touch():

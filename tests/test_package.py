@@ -73,7 +73,7 @@ PUBLIC_RECORD_FIELDS = {
     "SpecialContainer": ("variant", "input", "ratio"),
     "Tolerances": ("eps_len", "eps_angle", "eps_num", "eps_tie"),
     "Triangle": ("A", "B", "C"),
-    "VerificationReport": ("input", "relative_gap", "min_result", "oracle_result", "flags"),
+    "VerificationReport": ("min_result", "oracle_result", "flags"),
 }
 
 
