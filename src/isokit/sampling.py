@@ -4,20 +4,23 @@ Angle triples are uniform on the ordered simplex alpha <= beta <= gamma,
 alpha + beta + gamma = pi, restricted to a minimum angle and a pairwise
 scalene margin, so near-degenerate and near-isosceles inputs (where
 tolerance flags dominate) stay out of the default batches.  That region is
-the ordered simplex shrunk and shifted, so one Dirichlet draw per triangle,
-mapped onto it, samples it: a margin close to its bound costs no more than
-the default.
+the ordered simplex shrunk and shifted, so one Dirichlet(1, 1, 1) draw per
+triangle, mapped onto it, samples it: a margin close to its bound costs no
+more than the default.  The draw is the sorted spacings of two uniforms from
+the standard library's `random.Random(seed)`, whose `random()` stream
+Python keeps the same for a given seed across versions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .geo import CanonicalTriangle, Point, Triangle, canonicalize
 
 if TYPE_CHECKING:
-    import numpy as np
+    import random
 
 __all__ = [
     "DEFAULT_MIN_ANGLE",
@@ -31,11 +34,14 @@ DEFAULT_MIN_ANGLE = math.radians(5.0)
 DEFAULT_SCALENE_MARGIN = math.radians(1.0)
 
 
-def _draw_angles(rng: np.random.Generator, size: int, min_angle: float, scalene_margin: float):
-    """(alpha, beta) arrays of `size` triangles from one Dirichlet call,
-    uniform on the triples alpha <= beta <= gamma with alpha >= min_angle and
-    both gaps >= scalene_margin: each sorted Dirichlet(1, 1, 1) draw x, times
-    pi, maps to alpha = m + s x0, beta = m + g + s x1 (and gamma =
+def _draw_angles(
+    rng: random.Random, size: int, min_angle: float, scalene_margin: float
+) -> tuple[list[float], list[float]]:
+    """(alpha, beta) lists of `size` triangles, two `rng.random()` calls
+    each, uniform on the triples alpha <= beta <= gamma with alpha >=
+    min_angle and both gaps >= scalene_margin.  The sorted spacings x of two
+    uniforms u <= v, (u, v - u, 1 - v), are a sorted Dirichlet(1, 1, 1) draw;
+    times pi, they map to alpha = m + s x0, beta = m + g + s x1 (and gamma =
     m + 2g + s x2), with m = min_angle+, g = scalene_margin+, x+ = max(x, 0)
     and s = (pi - 3m - 3g) / pi.  Margins that leave s at or below 0, or
     NaN, raise `ValueError`."""
@@ -46,9 +52,13 @@ def _draw_angles(rng: np.random.Generator, size: int, min_angle: float, scalene_
             f"min_angle {min_angle:.6g} and scalene_margin {scalene_margin:.6g} (radians) leave no "
             "triangle: 3 * min_angle + 3 * scalene_margin must be below pi, negative values counting as 0"
         )
-    x = math.pi * rng.dirichlet((1.0, 1.0, 1.0), size)
-    x.sort(axis=-1)
-    return m + s * x[..., 0], m + g + s * x[..., 1]
+    alphas, betas = [], []
+    for _ in range(size):
+        u, v = sorted((rng.random(), rng.random()))
+        x0, x1 = sorted((u, v - u, 1.0 - v))[:2]
+        alphas.append(m + s * (math.pi * x0))
+        betas.append(m + g + s * (math.pi * x1))
+    return alphas, betas
 
 
 def _bad_angles(alpha: float, beta: float) -> bool:
@@ -93,9 +103,16 @@ def sample_canonical_triangles(
     scalene_margin: float = DEFAULT_SCALENE_MARGIN,
 ) -> list[CanonicalTriangle]:
     """Deterministic batch of scalene triangles, circumdiameter 1, for the
-    given seed: the angles of `_draw_angles`, all drawn in one call."""
-    # imported on first use, so that `import isokit` does not load numpy
-    import numpy as np
+    given seed: the angles of `_draw_angles`, all drawn from one
+    `random.Random(seed)`.  `seed` and `count` must be integers
+    (`TypeError`) and not negative (`ValueError`); `random.Random` alone
+    would take a float seed and give -seed the triangles of seed."""
+    # imported on first use, like numpy in the oracle's search, so that
+    # `import isokit` does not load it
+    import random
 
-    alphas, betas = _draw_angles(np.random.default_rng(seed), count, min_angle, scalene_margin)
-    return [triangle_from_angles(a, b) for a, b in zip(alphas.tolist(), betas.tolist())]
+    seed, count = operator.index(seed), operator.index(count)
+    if seed < 0 or count < 0:
+        raise ValueError(f"seed and count must not be negative, got {seed} and {count}")
+    alphas, betas = _draw_angles(random.Random(seed), count, min_angle, scalene_margin)
+    return [triangle_from_angles(a, b) for a, b in zip(alphas, betas)]

@@ -13,7 +13,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from isokit import GeometryError, Point, ShapeClass, Triangle, canonicalize, triangle_from_angles
+from isokit import (
+    DEFAULT_MIN_ANGLE,
+    DEFAULT_SCALENE_MARGIN,
+    GeometryError,
+    Point,
+    ShapeClass,
+    Triangle,
+    canonicalize,
+    triangle_from_angles,
+)
 from isokit.oracle import _witness_vertices
 
 
@@ -65,6 +74,21 @@ def within(value: float, exact_squared: Fraction, tol: float) -> bool:
     """Whether the positive `value` lies within relative `tol` of the square
     root of `exact_squared`, decided exactly."""
     return (1 - Fraction(tol)) ** 2 * exact_squared <= Fraction(value) ** 2 <= (1 + Fraction(tol)) ** 2 * exact_squared
+
+
+def legacy_sampler_rows(seed: int, count: int) -> list:
+    """The `count` triangles that `sample_canonical_triangles(seed, count)`
+    drew at the default margins while the sampler used numpy: each row of
+    ``default_rng(seed).dirichlet((1, 1, 1), count)``, times pi and sorted,
+    maps to alpha = m + s x0 and beta = m + g + s x1 as `_draw_angles` maps
+    its draws, so the regression inputs drawn from it stay bit for bit the
+    same."""
+    m, g = DEFAULT_MIN_ANGLE, DEFAULT_SCALENE_MARGIN
+    s = (math.pi - 3.0 * m - 3.0 * g) / math.pi
+    x = math.pi * np.random.default_rng(seed).dirichlet((1.0, 1.0, 1.0), count)
+    x.sort(axis=-1)
+    alphas, betas = m + s * x[:, 0], m + g + s * x[:, 1]
+    return [triangle_from_angles(a, b) for a, b in zip(alphas.tolist(), betas.tolist())]
 
 
 def rotated_needles(seed: int = 2001, count: int = 200) -> list:

@@ -6,6 +6,7 @@ triangles once and shares the reports.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -301,14 +302,13 @@ def test_criterion_9_can_cover_soundness(batch):
         ok_monotone = ok_monotone and not can_cover(smaller, bigger)
 
     # 100 acute scalene triangles so all nine containers exist
-    rng = np.random.default_rng(SEED + 2)
+    rng = random.Random(SEED + 2)
     n_containers = 0
     ok_containers = True
-    produced = draws = 0
+    produced = 0
     while produced < 100:
-        (al,), (be,) = (v.tolist() for v in _draw_angles(rng, 1, DEFAULT_MIN_ANGLE, DEFAULT_SCALENE_MARGIN))
+        (al,), (be,) = _draw_angles(rng, 1, DEFAULT_MIN_ANGLE, DEFAULT_SCALENE_MARGIN)
         ga = math.pi - al - be
-        draws += 1
         if ga >= math.radians(88.0):
             continue
         ct = triangle_from_angles(al, be)
@@ -318,12 +318,6 @@ def test_criterion_9_can_cover_soundness(batch):
         for sc in containers:
             n_containers += 1
             ok_containers = ok_containers and can_cover(sc.tri, ct.tri)
-
-    # a one-row draw reads the stream as an unsized draw does, bit for bit,
-    # so these are the triangles that single draws gave
-    sized, unsized = np.random.default_rng(SEED + 2), np.random.default_rng(SEED + 2)
-    ones = (1.0, 1.0, 1.0)
-    assert all(np.array_equal(sized.dirichlet(ones, 1)[0], unsized.dirichlet(ones)) for _ in range(draws))
 
     ok = ok_reflexive and ok_monotone and ok_containers
     _line(

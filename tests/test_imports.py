@@ -1,5 +1,5 @@
 """`import isokit` and the closed-form paths leave numpy unloaded; only the
-oracle's search and the sampler load it, on first use.
+oracle's search loads it, on first use, and `verify` leaves `numpy.random` unloaded.
 
 The test process has numpy loaded already, so each check runs in a fresh
 interpreter that imports isokit from the same source tree.
@@ -109,6 +109,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--samples", "2"])
 assert code == 0, f"exit code {code}"
 assert "numpy" in sys.modules
+# the sampler draws from the standard library's random
+assert "numpy.random" not in sys.modules
 """
     )
     assert proc.returncode == 0, proc.stderr

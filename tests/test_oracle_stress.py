@@ -28,6 +28,7 @@ from isokit.oracle import _witness_vertices
 from referee import (
     dist,
     exact_min_area_squared,
+    legacy_sampler_rows,
     longest_side,
     min_triangle_for_shape,
     obtuse_needles,
@@ -98,8 +99,9 @@ def test_rotated_reflected_copy():
 
 
 def test_default_sampler_seed_1716262142():
-    # the batch `isokit verify --samples 20 --seed 1716262142` checks
-    for ct in sample_canonical_triangles(seed=SAMPLER_SEED, count=20):
+    # the batch `isokit verify --samples 20 --seed 1716262142` checked while
+    # the sampler used numpy, on which the old grid oracle failed
+    for ct in legacy_sampler_rows(SAMPLER_SEED, 20):
         rep = verify_triangle(ct)
         assert abs(rep.relative_gap) <= GAP_TOL
         assert all(rep.flags.values()), rep.flags
@@ -114,7 +116,7 @@ def test_batch_results_match_single_searches():
         *(triangle(far_345(offset)) for offset in OFFSETS),
         *(triangle(scaled(scale)) for scale in SCALES),
         *rigid_pair(),
-        *(ct.tri for ct in sample_canonical_triangles(seed=SAMPLER_SEED, count=20)),
+        *(ct.tri for ct in legacy_sampler_rows(SAMPLER_SEED, 20)),
     ]
     together = brute_force_min_isosceles_batch(batch)
     assert len(together) == len(batch) == 28
@@ -163,7 +165,7 @@ def test_area_invariant_under_vertex_order(symmetry_inputs):
 def witness_batch() -> list[Triangle]:
     """The sampled, needle and far-345 inputs above, plus copies of the
     sampled ones moved 10^(3 + i % 6) longest sides along direction 0.7 i."""
-    sampled = [ct.tri for ct in sample_canonical_triangles(seed=SAMPLER_SEED, count=20)]
+    sampled = [ct.tri for ct in legacy_sampler_rows(SAMPLER_SEED, 20)]
     far = []
     for i, t in enumerate(sampled):
         d = 10.0 ** (3 + i % 6) * longest_side(t)
@@ -189,9 +191,9 @@ def test_witness_matches_min_triangle_for_shape():
 
 
 def axis_posed(seed: int = 3, count: int = 500) -> list[Triangle]:
-    """Sampler rows turned about their vertex A, the origin, so that the
-    oracle's axis lands on +x, or a rounding of it just above or below."""
-    tris = [ct.tri for ct in sample_canonical_triangles(seed=seed, count=count)]
+    """Legacy sampler rows turned about their vertex A, the origin, so that
+    the oracle's axis lands on +x, or a rounding of it just above or below."""
+    tris = [ct.tri for ct in legacy_sampler_rows(seed, count)]
     return [rigid_motion(t, -result.rotation) for t, result in zip(tris, brute_force_min_isosceles_batch(tris))]
 
 
@@ -199,9 +201,15 @@ def test_result_reports_its_shape():
     # the apex angle bounds a triangle (tan(delta/2) finite and positive)
     # and the rotation is reduced to one turn, also where the axis sits a
     # rounding below +x
-    for result in brute_force_min_isosceles_batch([*witness_batch(), *axis_posed()]):
+    posed = axis_posed()
+    results = brute_force_min_isosceles_batch([*witness_batch(), *posed])
+    for result in results:
         assert 0.0 < result.tan_half_apex < math.inf
         assert 0.0 <= result.rotation < 2 * math.pi
+    # the family holds the rows it exists for: axes on the input whose raw
+    # angle reduces to 2 pi itself
+    raw = [math.atan2(ay, ax) % math.tau for ax, ay, _, _ in (r._pose() for r in results[-len(posed) :])]
+    assert math.tau in raw
 
 
 def test_rotation_just_below_zero_is_zero():

@@ -1,6 +1,7 @@
 import math
+import random
+import statistics
 
-import numpy as np
 import pytest
 
 from isokit import (
@@ -17,7 +18,7 @@ from isokit.sampling import _draw_angles
 
 def one_triple(rng, min_angle=DEFAULT_MIN_ANGLE, scalene_margin=DEFAULT_SCALENE_MARGIN):
     """(alpha, beta, gamma) of a one-row `_draw_angles` draw."""
-    (alpha,), (beta,) = (v.tolist() for v in _draw_angles(rng, 1, min_angle, scalene_margin))
+    (alpha,), (beta,) = _draw_angles(rng, 1, min_angle, scalene_margin)
     return alpha, beta, math.pi - alpha - beta
 
 
@@ -34,8 +35,28 @@ def test_batch_seed_sensitivity():
     assert any(x.tri != y.tri for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize(
+    "seed, count, error", [(-1, 1, ValueError), (1.5, 1, TypeError), ("a", 1, TypeError), (1, -1, ValueError)]
+)
+def test_seed_and_count_are_checked(seed, count, error):
+    # random.Random alone would take a float or string seed, and would give
+    # seed -s the triangles of seed s
+    with pytest.raises(error):
+        sample_canonical_triangles(seed, count)
+
+
+def test_zero_margin_draw_is_uniform_on_the_simplex():
+    # the sorted angles of a uniform point on the simplex alpha + beta +
+    # gamma = pi have means pi (1/9, 5/18, 11/18), the means of the order
+    # statistics of three uniform spacings; 0.005 pi is over 8 standard errors
+    alphas, betas = _draw_angles(random.Random(1), 30_000, 0.0, 0.0)
+    gammas = [math.pi - a - b for a, b in zip(alphas, betas)]
+    for angles, mean in zip((alphas, betas, gammas), (1 / 9, 5 / 18, 11 / 18)):
+        assert abs(statistics.fmean(angles) - math.pi * mean) <= 0.005 * math.pi
+
+
 def test_margins_respected():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(200):
         al, be, ga = one_triple(rng)
         assert al >= math.radians(5.0)
@@ -56,42 +77,40 @@ def test_infeasible_margins_raise(min_angle, scalene_margin):
         )
 
 
-class _SpyGenerator:
-    """A numpy Generator that counts its dirichlet calls."""
+class _SpyRandom(random.Random):
+    """A `random.Random` that counts its `random()` calls."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.dirichlet_calls = 0
+    calls = 0
 
-    def dirichlet(self, *args, **kwargs):
-        self.dirichlet_calls += 1
-        return self.rng.dirichlet(*args, **kwargs)
+    def random(self):
+        self.calls += 1
+        return super().random()
 
 
 def test_batch_is_sequential_single_draws():
     # one formula: the batch maps the same draws that one-row draws map
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     singles = [triangle_from_angles(*one_triple(rng)[:2]) for _ in range(50)]
     assert [ct.tri for ct in sample_canonical_triangles(11, 50)] == [ct.tri for ct in singles]
 
 
 def test_margins_near_the_bound(monkeypatch):
     # 3 * min_angle + 3 * scalene_margin within 3 degrees of 180: the allowed
-    # triples are a sliver of the simplex, and still cost one draw each
+    # triples are a sliver of the simplex, and still cost two uniforms each
     for min_angle, scalene_margin in ((59.95, 0.0), (50.0, 9.0)):
         lo, gap = math.radians(min_angle), math.radians(scalene_margin)
-        spy = _SpyGenerator(0)
+        spy = _SpyRandom(0)
         for _ in range(100):
             al, be, ga = one_triple(spy, lo, gap)
             assert al >= lo and be - al >= gap - 1e-12 and ga - be >= gap - 1e-12
-        assert spy.dirichlet_calls == 100
+        assert spy.calls == 200
 
-        spy = _SpyGenerator(0)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: spy)
+        spy = _SpyRandom(0)
+        monkeypatch.setattr(random, "Random", lambda seed: spy)
         for ct in sample_canonical_triangles(0, 100, min_angle=lo, scalene_margin=gap):
             al, be, ga = sorted((ct.alpha, ct.beta, ct.gamma))
             assert al >= lo - 1e-12 and min(be - al, ga - be) >= gap - 1e-12
-        assert spy.dirichlet_calls == 1
+        assert spy.calls == 200
         monkeypatch.undo()
 
 
